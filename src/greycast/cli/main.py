@@ -16,6 +16,7 @@ Exit codes map one-to-one onto error classes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,6 +55,7 @@ from .io import (
 )
 from .models import (
     DEFAULT_COMPONENTS,
+    _plain,
     assemble_hybrid,
     fit_model,
     markov_report_doc,
@@ -232,7 +234,7 @@ def cmd_hybrid(args) -> int:
         "weights": {
             "scheme": weights.scheme,
             "values": [float(w) for w in weights.weights],
-            "diagnostics": _diag_plain(weights.diagnostics),
+            "diagnostics": _plain(weights.diagnostics),
         },
         "markov_test": markov_report_doc(markov_report),
         "forecast": {
@@ -254,20 +256,6 @@ def cmd_hybrid(args) -> int:
     print(f"  hybrid: in-sample MAPE = {report['evaluation']['hybrid']['mape']:.4f}%")
     print(f"report -> {args.out}")
     return 0
-
-
-def _diag_plain(obj):
-    if isinstance(obj, dict):
-        return {k: _diag_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_diag_plain(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def cmd_backtest(args) -> int:
@@ -388,10 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a grey fit; parse_args keeps no
+    # state between calls, so one parser serves every call in a process.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -8,6 +8,7 @@ arithmetic / geometric / harmonic combination rules.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,12 +163,19 @@ def _forecast_matrix(actual, forecasts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def simplex_ls_weights(actual, forecasts) -> HybridWeights:
-    """Least-squares weights on the simplex.
+    """Least-squares weights on the simplex, solved exactly.
 
-    Projected gradient descent with exact 1/L steps, polished by an
-    equality-constrained solve on the active support; the result is also
-    checked against every unit vector and the uniform vector, so the
-    achieved SSE never exceeds the best single model's.
+    The minimiser solves the sum-to-one least-squares problem restricted
+    to its own support.  Every non-empty support is solved through its KKT
+    system (:func:`_equality_ls`), and the feasible solution with the
+    lowest SSE is kept, the uniform vector included.  The single-component
+    supports are the unit vectors, so the achieved SSE never exceeds the
+    best single model's or the uniform mix's.
+
+    That is 2**p - 1 solves, 31 for the CLI's five model kinds; no caller
+    combines more, so no active-set method is provided.  Diagnostics give
+    the number of solves as ``iterations`` and the chosen component
+    indices as ``support``.
     """
     y, f = _forecast_matrix(actual, forecasts)
     p = f.shape[1]
@@ -187,37 +195,30 @@ def simplex_ls_weights(actual, forecasts) -> HybridWeights:
     def sse(w: np.ndarray) -> float:
         return float(np.sum((y - f @ w) ** 2))
 
-    lipschitz = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
-    step = 1.0 / lipschitz
-    w = np.full(p, 1.0 / p)
+    candidates = [np.full(p, 1.0 / p)]
     iterations = 0
-    for iterations in range(1, 100_001):
-        grad = 2.0 * (gram @ w - rhs)
-        w_new = project_to_simplex(w - step * grad)
-        if np.max(np.abs(w_new - w)) < 1e-15:
-            w = w_new
-            break
-        w = w_new
-
-    candidates = [w, np.full(p, 1.0 / p)]
-    candidates.extend(np.eye(p)[j] for j in range(p))
-    support = np.nonzero(w > 1e-10)[0]
-    polished = _equality_ls(gram, rhs, support, p)
-    if polished is not None:
-        candidates.append(polished)
+    for size in range(1, p + 1):
+        for support in itertools.combinations(range(p), size):
+            iterations += 1
+            solved = _equality_ls(gram, rhs, list(support), p)
+            if solved is not None:
+                candidates.append(solved)
     best = min(candidates, key=sse)
     return HybridWeights(
         weights=best,
         scheme=SCHEME_SIMPLEX_LS,
-        diagnostics={"sse": sse(best), "iterations": iterations, "degenerate": False},
+        diagnostics={
+            "sse": sse(best),
+            "iterations": iterations,
+            "support": [int(j) for j in np.nonzero(best)[0]],
+            "degenerate": False,
+        },
     )
 
 
 def _equality_ls(gram, rhs, support, p) -> np.ndarray | None:
     """Solve min w'Gw - 2w'b s.t. sum(w)=1 on a support; None if infeasible."""
     s = len(support)
-    if s == 0:
-        return None
     kkt = np.zeros((s + 1, s + 1))
     kkt[:s, :s] = 2.0 * gram[np.ix_(support, support)]
     kkt[:s, s] = 1.0
@@ -270,32 +271,16 @@ def _gamma_of_combined(combined_abs, emin, emax, rho) -> float:
     return float(np.mean((emin + rho * emax) / (combined_abs + rho * emax)))
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 120):
-    """Golden-section search for a maximum on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
-
-
 def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = None) -> HybridWeights:
     """Maximise the relational degree of the combined error over the simplex.
 
     The envelopes stay fixed at the individual methods' values, so every
     unit vector scores exactly its own individual degree; the optimum can
     therefore never fall below the best single method.
+
+    Two models are solved exactly: the degree is evaluated at both end
+    points and at every zero of the combined error in [0, 1], where the
+    maximum must lie.  Three or more use a multi-start coordinate search.
     """
     cfg = cfg or RelationConfig()
     y, f = _forecast_matrix(actual, forecasts)
@@ -325,29 +310,22 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
         return _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
 
     if m == 2:
+        # gamma(w1) is a mean of c / (|e2 + w1*delta| + rho*emax).  Each term
+        # is convex on either side of the zero of its combined error, so
+        # gamma is convex between consecutive zeros and its maximum over
+        # [0, 1] lies at an end point or at one of those zeros.
         e1, e2 = errors
         delta = e1 - e2
-
-        def gamma1(w1: float) -> float:
-            return _gamma_of_combined(np.abs(e2 + w1 * delta), emin, emax, rho)
-
-        grid = np.linspace(0.0, 1.0, 10_001)
-        combined = np.abs(e2[None, :] + grid[:, None] * delta[None, :])
-        scores = np.mean((emin + rho * emax) / (combined + rho * emax), axis=1)
-        best_idx = int(np.argmax(scores))
-        candidates = [(float(grid[best_idx]), float(scores[best_idx]))]
-        lo = max(0.0, grid[best_idx] - 1e-4)
-        hi = min(1.0, grid[best_idx] + 1e-4)
-        candidates.append(_golden_max(gamma1, lo, hi))
-        # Zeros of the combined error are the only non-smooth points of the
-        # objective; include them as candidates.
         movable = delta != 0.0
         kinks = -e2[movable] / delta[movable]
         kinks = kinks[(kinks >= 0.0) & (kinks <= 1.0)]
-        candidates.extend((float(kk), gamma1(float(kk))) for kk in kinks)
-        w1, gamma = max(candidates, key=lambda pair: pair[1])
+        points = np.concatenate(([0.0, 1.0], kinks))
+        combined = np.abs(e2[None, :] + points[:, None] * delta[None, :])
+        scores = np.mean((emin + rho * emax) / (combined + rho * emax), axis=1)
+        best_idx = int(np.argmax(scores))
+        w1 = float(points[best_idx])
         w = np.array([w1, 1.0 - w1])
-        return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma))
+        return HybridWeights(w, SCHEME_GREY_RELATION, diag(float(scores[best_idx])))
 
     rng = np.random.default_rng(0)
     starts = [np.full(m, 1.0 / m)]

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import greycast
 import greycast.cli.models as cli_models
 from greycast import CsvParseError, fit_gm11, forecast_gm11
 from greycast.cli.config import PipelineConfig, load_config
@@ -244,6 +248,25 @@ def test_hybrid_report_is_byte_deterministic(tmp_path, hybrid_setup):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_rejected_call_leaves_later_calls_unchanged(tmp_path, hybrid_setup):
+    data, _ = hybrid_setup
+    args = ["hybrid", "--input", str(data), "--components", "dgm_fmarkov,gm",
+            "--scheme", "simplex_ls", "--horizon", "3"]
+    assert main(["hybrid", "--input", str(data), "--no-such-flag"]) == 2
+    in_process = tmp_path / "in_process.json"
+    assert main(args + ["--out", str(in_process)]) == 0
+
+    fresh = tmp_path / "fresh.json"
+    src = os.path.dirname(os.path.dirname(greycast.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "greycast", *args, "--out", str(fresh)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert in_process.read_bytes() == fresh.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from greycast import (
     project_to_simplex,
     simplex_ls_weights,
 )
+from greycast.cli.config import PipelineConfig
+from greycast.cli.models import align_fitted, fit_model
 
 
 def gamma_oracle(actual, forecasts, weights, rho=0.5):
@@ -208,6 +210,41 @@ def test_simplex_ls_never_worse_than_best_single_model():
         assert combined_mse <= best_single + 1e-9
 
 
+def _flat_benchmark_series():
+    """The benchmark's slot-0 series recipe at seed 1, first 278 points.
+
+    Slot 0 has no growth and a level shift of size zero, whose position is
+    still drawn; the rest is AR(1) noise standardised over the first 278
+    and the last 24 points.
+    """
+    rng = np.random.default_rng(1)
+    base = rng.uniform(80.0, 120.0)
+    rng.integers(302 // 5, 3 * 302 // 5)
+    z = rng.standard_normal(302)
+    for part in (z[:278], z[278:]):
+        part -= part.mean()
+        part /= part.std()
+    values = np.empty(278)
+    noise = 0.0
+    for t in range(278):
+        noise = 0.3 * noise + 0.004 * base * z[t]
+        values[t] = base + noise
+    return values
+
+
+def test_simplex_ls_finds_the_best_support_of_three():
+    values = _flat_benchmark_series()
+    cfg = PipelineConfig()
+    fits = [fit_model(kind, values, cfg) for kind in ("dgm_fmarkov", "dgm", "gm")]
+    _, actual, predictions = align_fitted(values, fits)
+    hw = simplex_ls_weights(actual, predictions)
+    # a solver that settles on the support {dgm_fmarkov} stops at SSE 42.8270
+    assert hw.diagnostics["sse"] <= 42.81371
+    assert np.allclose(hw.weights, [0.7527, 0.0, 0.2473], atol=1e-4)
+    assert hw.diagnostics["support"] == [0, 2]
+    assert hw.diagnostics["iterations"] == 7
+
+
 # ---------------------------------------------------------------------------
 # grey relational degree
 # ---------------------------------------------------------------------------
@@ -265,22 +302,33 @@ def test_relation_weights_perfect_forecast():
     assert hw.weights[0] > 1.0 - 1e-6
 
 
-def test_relation_weights_match_grid_oracle_two_models():
-    rng = np.random.default_rng(58)
+@pytest.mark.parametrize(
+    "seed, bias",
+    # bias 1.0: the forecasts err on opposite sides, so the optimum lies
+    # strictly inside (0, 1), at a zero of the combined error
+    [(58, 0.0), (63, 0.0), (64, 0.0), (65, 0.0), (66, 1.0)],
+)
+def test_relation_weights_match_grid_oracle_two_models(seed, bias):
+    rng = np.random.default_rng(seed)
     actual = rng.uniform(100, 120, size=30)
-    f1 = actual + rng.normal(0, 1.0, size=30)
-    f2 = actual + rng.normal(0, 2.0, size=30)
+    f1 = actual + bias + rng.normal(0, 1.0, size=30)
+    f2 = actual - 2.0 * bias + rng.normal(0, 2.0, size=30)
     hw = optimize_relation_weights(actual, [f1, f2])
 
     grid = np.arange(0.0, 1.0 + 1e-12, 1e-4)
     scores = [gamma_oracle(actual, [f1, f2], [w, 1 - w]) for w in grid]
     grid_gamma = max(scores)
-    assert abs(hw.diagnostics["gamma"] - grid_gamma) < 1e-6
+    assert hw.diagnostics["gamma"] >= grid_gamma - 1e-12
     assert math.isclose(
         hw.diagnostics["gamma"],
         gamma_oracle(actual, [f1, f2], hw.weights),
         rel_tol=1e-12,
     )
+    if bias:
+        w1 = hw.weights[0]
+        assert 0.0 < w1 < 1.0
+        combined = np.abs(w1 * (actual - f1) + (1.0 - w1) * (actual - f2))
+        assert combined.min() < 1e-12
 
 
 def test_relation_weights_not_worse_than_best_single():
