@@ -62,14 +62,17 @@ from .neural import (
     backprop_gradients,
     forward,
     ignn_fit,
+    ignn_fit_batch,
     ignn_fitted,
     ignn_forecast,
     init_net,
     predict_scaled,
     sgnn_fit,
+    sgnn_fit_batch,
     sgnn_fitted,
     sgnn_forecast,
     train_bp,
+    train_bp_batch,
 )
 from .series import ResidualSeries, TimeSeries, ago, as_values, iago, make_windows, relative_residuals
 

@@ -1,7 +1,8 @@
 """Rolling-origin backtest: refit at each origin, forecast h steps ahead.
 
 Each fold refits every model on the observations up to its origin only,
-so no fold ever sees data from its own evaluation window.
+so no fold ever sees data from its own evaluation window.  Each model kind
+is fitted to all folds in one call, so the folds' networks train together.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .models import (
     DEFAULT_COMPONENTS,
     align_fitted,
     compute_weights,
-    fit_model,
+    fit_model,  # noqa: F401  (kept importable here; bench/spans.py times it)
+    fit_models,
     markov_report_doc,
     metrics_doc,
 )
@@ -50,11 +52,12 @@ def run_backtest(
     fold_docs: list[dict] = []
     markov_report = None
 
-    for fold in range(folds):
-        origin = first_origin + fold * h
-        train = values[:origin]
+    origins = [first_origin + fold * h for fold in range(folds)]
+    trains = [values[:origin] for origin in origins]
+    fits_by_kind = [fit_models(name, trains, cfg) for name in names]
+
+    for origin, train, fits in zip(origins, trains, zip(*fits_by_kind)):
         held_out = values[origin : origin + h]
-        fits = [fit_model(name, train, cfg) for name in names]
         _, fold_actual, fold_preds = align_fitted(train, fits)
         weights = compute_weights(fold_actual, fold_preds, cfg)
         forecasts = [fit.forecast(h) for fit in fits]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from ..hybrid import COMBINE_SCHEMES, SCHEMES
 from ..markov import DEFAULT_BOUNDARIES
 from ..neural import TrainConfig
@@ -92,7 +92,7 @@ def _build_train(raw: dict, default_seed: int) -> TrainConfig:
             seed=int(raw.get("seed", default_seed)),
             shuffle=bool(raw.get("shuffle", True)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc
 
 

@@ -6,10 +6,11 @@ import csv
 import io
 import math
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import CsvParseError, MissingInputError
+from ..errors import ConfigError, CsvParseError, MissingInputError
 from ..series import TimeSeries
 
 SERIES_HEADERS = (("value",), ("date", "value"))
@@ -123,8 +124,18 @@ def parse_counts_csv(source) -> tuple[np.ndarray, np.ndarray]:
     return counts, occupancy
 
 
+@contextmanager
+def _open_output(path, newline=None):
+    """Open ``path`` for writing; an OS failure is a usage error (exit 2)."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_series_csv(path, values, labels=None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         if labels is not None:
             writer.writerow(["date", "value"])
@@ -137,7 +148,7 @@ def write_series_csv(path, values, labels=None) -> None:
 
 
 def write_forecast_csv(path, start_t: int, values) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "forecast"])
         for offset, value in enumerate(values):
@@ -145,7 +156,7 @@ def write_forecast_csv(path, start_t: int, values) -> None:
 
 
 def write_plot_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
@@ -231,5 +242,5 @@ def _escape(text: str) -> str:
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with _open_output(path) as handle:
         handle.write(dump_json(obj))

@@ -119,9 +119,12 @@ def _load_json_doc(path: str) -> dict:
         raise MissingInputError(f"input file not found: {path}")
     with open(path, encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            doc = json.load(handle)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} must hold a JSON object, not a {type(doc).__name__}")
+    return doc
 
 
 def cmd_synth(args) -> int:

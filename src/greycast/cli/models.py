@@ -4,7 +4,9 @@ Every adapter exposes the same small surface — ``kind``, ``start_t`` (the
 1-based time of its first in-sample value), ``fitted``, ``forecast(h)``
 and ``to_doc()`` — so the hybrid assembly and the backtest can treat all
 model kinds uniformly.  Fitting goes through the :data:`FITTERS` registry,
-which tests may wrap to observe exactly what data each fit saw.
+whose entries fit one model to each series of a list (the networks of all
+those fits train together), and which tests may wrap to observe exactly
+what data each fit saw.
 """
 
 from __future__ import annotations
@@ -49,10 +51,11 @@ from ..neural import (
     FeedforwardNet,
     IgnnForecaster,
     SgnnForecaster,
-    ignn_fit,
+    ignn_fit,  # noqa: F401  (kept importable here; bench/spans.py times it)
+    ignn_fit_batch,
     ignn_fitted,
     ignn_forecast,
-    sgnn_fit,
+    sgnn_fit_batch,
     sgnn_fitted,
     sgnn_forecast,
 )
@@ -196,8 +199,12 @@ def _net_from_doc(doc: dict) -> FeedforwardNet:
     )
 
 
-def _fit_ignn(values, cfg: PipelineConfig) -> FittedModel:
-    forecaster = ignn_fit(values, window=cfg.window, cfg=cfg.train)
+def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
+    forecasters = ignn_fit_batch(series, window=cfg.window, cfg=cfg.train)
+    return [_ignn_model(forecaster, cfg) for forecaster in forecasters]
+
+
+def _ignn_model(forecaster: IgnnForecaster, cfg: PipelineConfig) -> FittedModel:
     return FittedModel(
         kind="ignn",
         start_t=cfg.window + 1,
@@ -221,9 +228,14 @@ def _sgnn_windows(n: int) -> list[int]:
     return [length for length in lengths if length >= 4]
 
 
-def _fit_sgnn(values, cfg: PipelineConfig) -> FittedModel:
-    values = as_values(values)
-    forecaster = sgnn_fit(values, _sgnn_windows(values.size), cfg=cfg.train)
+def _fit_sgnn(series, cfg: PipelineConfig) -> list[FittedModel]:
+    series = [as_values(values) for values in series]
+    windows = [_sgnn_windows(values.size) for values in series]
+    forecasters = sgnn_fit_batch(series, windows, cfg=cfg.train)
+    return [_sgnn_model(forecaster) for forecaster in forecasters]
+
+
+def _sgnn_model(forecaster: SgnnForecaster) -> FittedModel:
     return FittedModel(
         kind="sgnn",
         start_t=forecaster.eval_start,
@@ -339,22 +351,37 @@ def _plain(obj):
     return obj
 
 
-#: Fit dispatch; tests may wrap entries to instrument what data a fit sees.
+def _each(fit_one):
+    """A batch fitter that fits each series on its own."""
+
+    def fit_all(series, cfg: PipelineConfig) -> list[FittedModel]:
+        return [fit_one(values, cfg) for values in series]
+
+    return fit_all
+
+
+#: Fit dispatch: kind -> fitter(list of series, cfg) -> list of fits.
+#: Tests may wrap entries to instrument what data a fit sees.
 FITTERS = {
-    "gm": _fit_gm,
-    "dgm": _fit_dgm,
-    "dgm_fmarkov": _fit_dgm_fmarkov,
+    "gm": _each(_fit_gm),
+    "dgm": _each(_fit_dgm),
+    "dgm_fmarkov": _each(_fit_dgm_fmarkov),
     "ignn": _fit_ignn,
     "sgnn": _fit_sgnn,
 }
 
 
+def fit_models(kind: str, series, cfg: PipelineConfig) -> list[FittedModel]:
+    """One base model of ``kind`` per series, in one fitter call."""
+    if kind not in FITTERS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    return FITTERS[kind](list(series), cfg)
+
+
 def fit_model(kind: str, values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
     if kind == "hybrid":
         return _fit_hybrid(values, cfg, components)
-    if kind not in FITTERS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    return FITTERS[kind](values, cfg)
+    return fit_models(kind, [values], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +399,57 @@ class LoadedModel:
         return self._forecast(horizon)
 
 
+# Keys each model document must hold, per kind and, for nets, per variant:
+# a dict names required keys and what their values must hold in turn, a
+# one-element list a list whose items must each match it, None anything.
+_SCALER_KEYS = {"scale": None, "offset": None}
+_GM_KEYS = {"a": None, "u": None, "x0_first": None, "n_fit": None}
+_DGM_KEYS = {"beta": None, "xi": None, "n_fit": None}
+_NET_KEYS = {
+    "layer_sizes": None,
+    "weights": None,
+    "biases": None,
+    "input_scaler": _SCALER_KEYS,
+    "output_scaler": _SCALER_KEYS,
+}
+_DOC_KEYS = {
+    "gm": _GM_KEYS,
+    "dgm": _DGM_KEYS,
+    "fmarkov": {
+        "dgm": _DGM_KEYS,
+        "boundaries": None,
+        "fuzzy_counts": None,
+        "fuzzy_probs": None,
+        "degenerate_rows": None,
+        "last_residual": None,
+        "last_actual": None,
+        "n_fit": None,
+    },
+    "net": {"variant": None},
+    "ignn": {"net": _NET_KEYS, "window": None, "ago_tail": None, "n_fit": None},
+    "sgnn": {"net": _NET_KEYS, "gm_models": [_GM_KEYS], "offsets": None, "n_fit": None},
+    "hybrid": {"components": [{}], "weights": None, "combine": None},
+}
+
+
+def _check_keys(node, keys, path: str) -> None:
+    if keys is None:
+        return
+    if isinstance(keys, list):
+        if not isinstance(node, list):
+            raise DataError(f"model document field {path!r} must be a JSON list")
+        for i, item in enumerate(node):
+            _check_keys(item, keys[0], f"{path}[{i}]")
+        return
+    if not isinstance(node, dict):
+        raise DataError(f"model document field {path!r} must be a JSON object")
+    for key, sub in keys.items():
+        where = f"{path}.{key}" if path else key
+        if key not in node:
+            raise DataError(f"model document is missing key {where!r}")
+        _check_keys(node[key], sub, where)
+
+
 def model_from_doc(doc: dict) -> LoadedModel:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DataError("model document must be a JSON object with a 'kind' field")
@@ -380,6 +458,9 @@ def model_from_doc(doc: dict) -> LoadedModel:
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
     kind = doc["kind"]
+    _check_keys(doc, _DOC_KEYS.get(kind), "")
+    if kind == "net":
+        _check_keys(doc, _DOC_KEYS.get(doc["variant"]), "")
     if kind == "gm":
         model = GmModel(a=doc["a"], u=doc["u"], x0_first=doc["x0_first"], n_fit=doc["n_fit"])
         return LoadedModel("gm", model.n_fit, lambda h: forecast_gm11(model, h)[model.n_fit :])

@@ -211,99 +211,138 @@ def train_bp(net: FeedforwardNet, samples, cfg: TrainConfig | None = None) -> Fe
 
     Returns a trained copy; the input net is untouched.  The returned
     net's ``loss_history`` holds the pre-training mean squared error
-    followed by one mean-per-sample entry per epoch.
+    followed by one mean-per-sample entry per epoch.  This is the
+    one-net case of :func:`train_bp_batch`.
     """
-    cfg = cfg or TrainConfig()
-    samples = list(samples)
+    return train_bp_batch([net], [samples], cfg)[0]
+
+
+def _as_sample_arrays(samples, sizes):
     if not samples:
         raise DataError("training requires at least one sample")
-    inputs = [np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in samples]
-    targets = [np.atleast_1d(np.asarray(t, dtype=float)) for _, t in samples]
-    trained = net.copy()
-    n = len(samples)
+    inputs = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x, _ in samples])
+    targets = np.array([np.atleast_1d(np.asarray(t, dtype=float)) for _, t in samples])
+    if inputs.shape[1:] != (sizes[0],) or targets.shape[1:] != (sizes[-1],):
+        raise DataError(
+            f"samples of shape {inputs.shape[1:]} -> {targets.shape[1:]} do not fit "
+            f"a net of layer sizes {sizes}"
+        )
+    return inputs, targets
 
-    def mean_sq_error() -> float:
-        return sum(
-            float(np.sum((_forward_cached(trained, x)[-1] - t) ** 2))
-            for x, t in zip(inputs, targets)
-        ) / n
 
-    history = [mean_sq_error()]
-    rng = np.random.default_rng(cfg.seed)
+def _mean_sq_error(net: FeedforwardNet, inputs, targets) -> float:
+    return sum(
+        float(np.sum((_forward_cached(net, x)[-1] - t) ** 2))
+        for x, t in zip(inputs, targets)
+    ) / len(inputs)
+
+
+def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[FeedforwardNet]:
+    """Train independent nets of one shape in lockstep, each on its own samples.
+
+    Every net gets exactly the updates :func:`train_bp` would give it
+    alone: its own ``default_rng(cfg.seed)`` permutation each epoch, its
+    own loss history and its own divergence check.  The weights are
+    stacked along a leading net axis and vectors are column matrices of
+    shape (nets, size, 1), so one ``np.matmul`` or ufunc call advances
+    every net by one sample.  Step ``t`` of an epoch feeds each net its
+    ``t``-th sample; a net whose samples ran out this epoch takes the step
+    on its first sample with a learning rate of zero, which leaves it
+    unchanged.
+    """
+    cfg = cfg or TrainConfig()
+    nets = list(nets)
+    sample_sets = [list(samples) for samples in sample_sets]
+    if len(nets) != len(sample_sets):
+        raise DataError(f"{len(nets)} nets but {len(sample_sets)} sample sets")
+    if not nets:
+        raise DataError("training requires at least one net")
+    if any(net.layer_sizes != nets[0].layer_sizes for net in nets):
+        raise DataError("nets trained together must share their layer sizes")
+    sizes = nets[0].layer_sizes
+    last = len(sizes) - 2
+    data = [_as_sample_arrays(samples, sizes) for samples in sample_sets]
+    counts = [inputs.shape[0] for inputs, _ in data]
+    width = max(counts)
+    trained = [net.copy() for net in nets]
+    histories = [[_mean_sq_error(net, *arrays)] for net, arrays in zip(trained, data)]
+
+    weights = [np.stack([net.weights[l] for net in trained]) for l in range(last + 1)]
+    biases = [np.stack([net.biases[l] for net in trained])[..., None] for l in range(last + 1)]
+    # Per epoch, step-major copies of every net's shuffled samples; the
+    # steps past a net's sample count keep its first sample.
+    xs = np.empty((width, len(nets), sizes[0], 1))
+    targets = np.empty((width, len(nets), sizes[-1], 1))
+    # rates[l][t] is every net's learning rate at step t, in the shape of
+    # layer l's output (a broadcast multiply costs twice a plain one).
+    rates = [np.zeros((width, len(nets), s, 1)) for s in sizes[1:]]
+    for b, ((inputs, outputs), n) in enumerate(zip(data, counts)):
+        xs[:, b, :, 0] = inputs[0]
+        targets[:, b, :, 0] = outputs[0]
+        for rate in rates:
+            rate[:n, b] = cfg.learning_rate
+    errors = np.empty_like(targets)  # output minus target at each step
+    # outs[l] is layer l's output and outs_t[l] its transpose; deltas[l] is
+    # the loss gradient at that output, scaled[l] that gradient times the
+    # learning rate, and steps[l] the update to weights[l].
+    outs = [np.empty((len(nets), s, 1)) for s in sizes[1:]]
+    outs_t = [out.transpose(0, 2, 1) for out in outs]
+    weights_t = [w.transpose(0, 2, 1) for w in weights]
+    deltas = [np.empty_like(out) for out in outs[:-1]] + [None]
+    scaled = [np.empty_like(out) for out in outs]
+    slope = [np.empty_like(out) for out in outs[:-1]]
+    steps = [np.empty_like(w) for w in weights]
+    rngs = [np.random.default_rng(cfg.seed) for _ in nets]
     # Divergence shows up as non-finite loss, which is detected and raised;
     # the intermediate overflow warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(trained.weights) == 2:
-            _train_two_layer(trained, inputs, targets, cfg, rng, history)
-        else:
-            _train_generic(trained, inputs, targets, cfg, rng, history)
-    trained.loss_history = history
+        for _ in range(cfg.epochs):
+            for b, (rng, (inputs, outputs), n) in enumerate(zip(rngs, data, counts)):
+                order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+                xs[:n, b, :, 0] = inputs[order]
+                targets[:n, b, :, 0] = outputs[order]
+            for x, x_t, target, error, rate in zip(
+                xs, xs.transpose(0, 1, 3, 2), targets, errors, zip(*rates)
+            ):
+                a = x
+                for l in range(last + 1):
+                    out = outs[l]
+                    np.matmul(weights[l], a, out=out)
+                    out += biases[l]
+                    if l < last:  # sigmoid, in place
+                        np.negative(out, out=out)
+                        np.exp(out, out=out)
+                        out += 1.0
+                        np.reciprocal(out, out=out)
+                    a = out
+                np.subtract(a, target, out=error)
+                deltas[last] = error
+                for l in range(last, -1, -1):
+                    delta = deltas[l]
+                    if l:  # back-propagate through the weights before they move
+                        below, a_below = deltas[l - 1], outs[l - 1]
+                        np.matmul(weights_t[l], delta, out=below)
+                        np.subtract(1.0, a_below, out=slope[l - 1])
+                        slope[l - 1] *= a_below
+                        below *= slope[l - 1]
+                    np.multiply(delta, rate[l], out=scaled[l])
+                    np.multiply(scaled[l], outs_t[l - 1] if l else x_t, out=steps[l])
+                    weights[l] -= steps[l]
+                    biases[l] -= scaled[l]
+            # A running total in sample order, as a per-sample loop adds it.
+            sq = np.square(errors[..., 0]).sum(axis=-1)
+            for b, (history, n) in enumerate(zip(histories, counts)):
+                epoch_loss = float(np.cumsum(sq[:n, b])[-1]) / n
+                if not np.isfinite(epoch_loss):
+                    raise DivergenceError(
+                        "training loss is not finite; try a smaller learning rate"
+                    )
+                history.append(epoch_loss)
+    for b, (net, history) in enumerate(zip(trained, histories)):
+        net.weights = [w[b].copy() for w in weights]
+        net.biases = [bias[b, :, 0].copy() for bias in biases]
+        net.loss_history = history
     return trained
-
-
-def _train_generic(trained, inputs, targets, cfg, rng, history):
-    n = len(inputs)
-    lr = cfg.learning_rate
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        for idx in order:
-            loss, gw, gb = _sample_gradients(trained, inputs[idx], targets[idx])
-            epoch_loss += 2.0 * loss  # per-sample squared error
-            for layer in range(len(trained.weights)):
-                trained.weights[layer] -= lr * gw[layer]
-                trained.biases[layer] -= lr * gb[layer]
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(
-                "training loss is not finite; try a smaller learning rate"
-            )
-        history.append(epoch_loss)
-
-
-def _train_two_layer(trained, inputs, targets, cfg, rng, history):
-    """Allocation-free update loop for the common one-hidden-layer case."""
-    n = len(inputs)
-    lr = cfg.learning_rate
-    w1, w2 = trained.weights
-    b1, b2 = trained.biases
-    hidden_z = np.empty(b1.size)
-    hidden_a = np.empty(b1.size)
-    hidden_d = np.empty(b1.size)
-    hidden_tmp = np.empty(b1.size)
-    out = np.empty(b2.size)
-    out_d = np.empty(b2.size)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        for idx in order:
-            x = inputs[idx]
-            np.dot(w1, x, out=hidden_z)
-            hidden_z += b1
-            np.negative(hidden_z, out=hidden_a)
-            np.exp(hidden_a, out=hidden_a)
-            hidden_a += 1.0
-            np.reciprocal(hidden_a, out=hidden_a)
-            np.dot(w2, hidden_a, out=out)
-            out += b2
-            np.subtract(out, targets[idx], out=out_d)
-            epoch_loss += float(out_d @ out_d)
-            np.dot(w2.T, out_d, out=hidden_d)
-            np.subtract(1.0, hidden_a, out=hidden_tmp)
-            hidden_tmp *= hidden_a
-            hidden_d *= hidden_tmp
-            out_d *= lr
-            w2 -= out_d[:, None] * hidden_a[None, :]
-            b2 -= out_d
-            hidden_d *= lr
-            w1 -= hidden_d[:, None] * x[None, :]
-            b1 -= hidden_d
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(
-                "training loss is not finite; try a smaller learning rate"
-            )
-        history.append(epoch_loss)
 
 
 def predict_scaled(net: FeedforwardNet, raw_inputs) -> float:
@@ -332,24 +371,40 @@ def ignn_fit(
     hidden: int = 4,
 ) -> IgnnForecaster:
     """Train a one-step predictor on the accumulated series."""
+    return ignn_fit_batch([x], window, cfg, hidden)[0]
+
+
+def ignn_fit_batch(
+    series,
+    window: int = 4,
+    cfg: TrainConfig | None = None,
+    hidden: int = 4,
+) -> list[IgnnForecaster]:
+    """:func:`ignn_fit` on each series, with the nets trained in lockstep."""
     cfg = cfg or TrainConfig()
-    values = as_values(x, min_len=window + 2)
-    ago_values = np.cumsum(values)
-    scaler = AffineScaler.from_range(ago_values)
-    raw_samples = make_windows(ago_values, window)
-    samples = [
-        (scaler.transform(w), scaler.transform(t)) for w, t in raw_samples
+    nets, sample_sets, agos = [], [], []
+    for x in series:
+        values = as_values(x, min_len=window + 2)
+        ago_values = np.cumsum(values)
+        scaler = AffineScaler.from_range(ago_values)
+        raw_samples = make_windows(ago_values, window)
+        sample_sets.append(
+            [(scaler.transform(w), scaler.transform(t)) for w, t in raw_samples]
+        )
+        nets.append(
+            init_net(
+                (window, hidden, 1),
+                seed=cfg.seed,
+                input_scaler=scaler,
+                output_scaler=replace(scaler),
+            )
+        )
+        agos.append(ago_values)
+    trained = train_bp_batch(nets, sample_sets, cfg)
+    return [
+        IgnnForecaster(net=net, window=window, ago_values=ago, n_fit=ago.size)
+        for net, ago in zip(trained, agos)
     ]
-    net = init_net(
-        (window, hidden, 1),
-        seed=cfg.seed,
-        input_scaler=scaler,
-        output_scaler=replace(scaler),
-    )
-    trained = train_bp(net, samples, cfg)
-    return IgnnForecaster(
-        net=trained, window=window, ago_values=ago_values, n_fit=values.size
-    )
 
 
 def ignn_fitted(f: IgnnForecaster) -> np.ndarray:
@@ -416,44 +471,63 @@ def sgnn_fit(
     hidden: int = 4,
 ) -> SgnnForecaster:
     """Fit one GM(1,1) per trailing sub-window, then train the combiner."""
+    return sgnn_fit_batch([x], [sub_window_lengths], cfg, hidden)[0]
+
+
+def sgnn_fit_batch(
+    series,
+    sub_window_lengths,
+    cfg: TrainConfig | None = None,
+    hidden: int = 4,
+) -> list[SgnnForecaster]:
+    """:func:`sgnn_fit` on each series with its own sub-window lengths, with
+    the combining nets trained in lockstep."""
     cfg = cfg or TrainConfig()
-    values = as_values(x)
-    lengths = [int(v) for v in sub_window_lengths]
-    if len(lengths) < 2:
-        raise DataError(f"SGNN needs at least 2 sub-models, got {len(lengths)}")
-    for length in lengths:
-        if length < 4:
-            raise InsufficientDataError(
-                f"each sub-window must hold at least 4 values, got {length}"
+    shells, nets, sample_sets = [], [], []
+    for x, window_lengths in zip(series, sub_window_lengths):
+        values = as_values(x)
+        lengths = [int(v) for v in window_lengths]
+        if len(lengths) < 2:
+            raise DataError(f"SGNN needs at least 2 sub-models, got {len(lengths)}")
+        for length in lengths:
+            if length < 4:
+                raise InsufficientDataError(
+                    f"each sub-window must hold at least 4 values, got {length}"
+                )
+            if length > values.size:
+                raise InsufficientDataError(
+                    f"sub-window length {length} exceeds series length {values.size}"
+                )
+        offsets = [values.size - length for length in lengths]
+        models = [fit_gm11(values[off:]) for off in offsets]
+        shell = SgnnForecaster(
+            net=init_net((len(models), hidden, 1)),
+            gm_models=models,
+            offsets=offsets,
+            n_fit=values.size,
+        )
+        inputs = _sub_model_inputs(shell)
+        targets = values[max(offsets) :]
+        input_scaler = AffineScaler.from_range(inputs)
+        output_scaler = AffineScaler.from_range(targets)
+        sample_sets.append(
+            [
+                (input_scaler.transform(row), output_scaler.transform([t]))
+                for row, t in zip(inputs, targets)
+            ]
+        )
+        nets.append(
+            init_net(
+                (len(models), hidden, 1),
+                seed=cfg.seed,
+                input_scaler=input_scaler,
+                output_scaler=output_scaler,
             )
-        if length > values.size:
-            raise InsufficientDataError(
-                f"sub-window length {length} exceeds series length {values.size}"
-            )
-    offsets = [values.size - length for length in lengths]
-    models = [fit_gm11(values[off:]) for off in offsets]
-    shell = SgnnForecaster(
-        net=init_net((len(models), hidden, 1)),
-        gm_models=models,
-        offsets=offsets,
-        n_fit=values.size,
-    )
-    inputs = _sub_model_inputs(shell)
-    targets = values[max(offsets) :]
-    input_scaler = AffineScaler.from_range(inputs)
-    output_scaler = AffineScaler.from_range(targets)
-    samples = [
-        (input_scaler.transform(row), output_scaler.transform([t]))
-        for row, t in zip(inputs, targets)
-    ]
-    net = init_net(
-        (len(models), hidden, 1),
-        seed=cfg.seed,
-        input_scaler=input_scaler,
-        output_scaler=output_scaler,
-    )
-    shell.net = train_bp(net, samples, cfg)
-    return shell
+        )
+        shells.append(shell)
+    for shell, net in zip(shells, train_bp_batch(nets, sample_sets, cfg)):
+        shell.net = net
+    return shells
 
 
 def sgnn_fitted(f: SgnnForecaster) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 
 import greycast
 import greycast.cli.models as cli_models
-from greycast import CsvParseError, fit_gm11, forecast_gm11
+from greycast import CsvParseError, DataError, TrainConfig, fit_gm11, forecast_gm11
 from greycast.cli.config import PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
 from greycast.cli.main import main
@@ -306,12 +306,14 @@ def test_backtest_never_sees_future_data(tmp_path, monkeypatch):
     config.write_text(json.dumps({"train": {"epochs": 5, "learning_rate": 0.1}}))
 
     seen = []
+    calls = []
     original = dict(cli_models.FITTERS)
 
     def instrument(kind):
-        def wrapped(values, cfg):
-            seen.append((kind, len(values)))
-            return original[kind](values, cfg)
+        def wrapped(series, cfg):
+            calls.append(kind)
+            seen.extend((kind, len(values)) for values in series)
+            return original[kind](series, cfg)
         return wrapped
 
     for kind in original:
@@ -327,6 +329,7 @@ def test_backtest_never_sees_future_data(tmp_path, monkeypatch):
     per_fold = {origin: [k for k, ln in seen if ln == origin] for origin in origins}
     for origin, kinds in per_fold.items():
         assert sorted(kinds) == ["dgm_fmarkov", "ignn"]
+    assert sorted(calls) == ["dgm_fmarkov", "ignn"]  # one call per kind, all folds
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +402,67 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     rc = main(["fit", "--model", "ignn", "--input", str(data),
                "--out", str(tmp_path / "m.json"), "--config", str(config)])
     assert rc == 6
+
+
+def _probe_argv(tmp_path, probe):
+    """Write the probe's input files; return the greycast argv to run."""
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(30, seed=9))
+    fit = ["fit", "--model", "gm", "--input", str(data), "--out", str(tmp_path / "m.json")]
+    train = {
+        "negative_learning_rate": {"learning_rate": -1},
+        "zero_learning_rate": {"learning_rate": 0},
+        "negative_epochs": {"epochs": -3},
+    }
+    if probe in train:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": train[probe]}))
+        return fit + ["--config", str(config)]
+    if probe == "model_missing_key":
+        assert main(fit) == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        del doc["a"]
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        return ["forecast", "--input", str(tmp_path / "m.json"), "--out", str(tmp_path / "f.csv")]
+    if probe == "report_not_an_object":
+        (tmp_path / "r.json").write_text("[1, 2]")
+        return ["report", "--input", str(tmp_path / "r.json")]
+    assert probe == "unwritable_output"
+    return fit[:-1] + [str(tmp_path / "no_such_dir" / "m.json")]
+
+
+@pytest.mark.parametrize("probe, code", [
+    ("negative_learning_rate", 2),
+    ("zero_learning_rate", 2),
+    ("negative_epochs", 2),
+    ("model_missing_key", 5),
+    ("report_not_an_object", 5),
+    ("unwritable_output", 2),
+])
+def test_exit_code_probes(tmp_path, capsys, probe, code):
+    argv = _probe_argv(tmp_path, probe)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if probe == "model_missing_key":
+        assert "'a'" in err
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("ignn", ("net", "input_scaler", "scale")),
+    ("sgnn", ("gm_models", 1, "u")),
+    ("hybrid", ("components", 0, "fuzzy_probs")),
+])
+def test_model_doc_names_a_missing_nested_key(kind, path):
+    cfg = PipelineConfig(train=TrainConfig(epochs=2))
+    doc = cli_models.fit_model(kind, synthetic_series(30, seed=9), cfg).to_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(DataError, match=f"missing key '[^']*{path[-1]}'"):
+        cli_models.model_from_doc(doc)
 
 
 def test_flags_override_config_file(tmp_path):

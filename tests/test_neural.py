@@ -24,6 +24,7 @@ from greycast import (
     sgnn_fitted,
     sgnn_forecast,
     train_bp,
+    train_bp_batch,
 )
 
 
@@ -194,6 +195,56 @@ def test_divergence_raises():
 def test_empty_samples_rejected():
     with pytest.raises(DataError):
         train_bp(init_net((1, 2, 1)), [], TrainConfig())
+
+
+def random_samples(rng, count, sizes, scale=1.0):
+    return [
+        (scale * rng.uniform(0.1, 0.9, size=sizes[0]),
+         scale * rng.uniform(0.1, 0.9, size=sizes[-1]))
+        for _ in range(count)
+    ]
+
+
+def assert_same_net(got, want):
+    assert all(np.array_equal(a, b) for a, b in zip(got.weights, want.weights))
+    assert all(np.array_equal(a, b) for a, b in zip(got.biases, want.biases))
+    assert got.loss_history == want.loss_history
+
+
+@pytest.mark.parametrize("sizes", [(4, 4, 1), (3, 5, 2, 1)])
+def test_lockstep_training_matches_training_alone(sizes):
+    rng = np.random.default_rng(47)
+    nets = [init_net(sizes, seed=seed) for seed in (1, 2, 3)]
+    sample_sets = [random_samples(rng, count, sizes) for count in (5, 7, 9)]
+    cfg = TrainConfig(learning_rate=0.3, epochs=25, seed=6, shuffle=True)
+    together = train_bp_batch(nets, sample_sets, cfg)
+    for net, samples, got in zip(nets, sample_sets, together):
+        assert_same_net(got, train_bp(net, samples, cfg))
+        assert len(got.loss_history) == cfg.epochs + 1
+
+
+def test_lockstep_rejects_nets_of_different_shapes():
+    rng = np.random.default_rng(48)
+    nets = [init_net((2, 3, 1)), init_net((4, 4, 1))]
+    sample_sets = [random_samples(rng, 3, net.layer_sizes) for net in nets]
+    with pytest.raises(DataError, match="layer sizes"):
+        train_bp_batch(nets, sample_sets, TrainConfig(epochs=1))
+
+
+def test_lockstep_divergence_of_one_net_raises():
+    rng = np.random.default_rng(49)
+    sizes = (1, 1)  # linear: a large input makes every step overshoot
+    sample_sets = [
+        random_samples(rng, 6, sizes),
+        [([1000.0], [1000.0])] * 3,
+        random_samples(rng, 4, sizes),
+    ]
+    nets = [init_net(sizes, seed=i) for i in range(3)]
+    cfg = TrainConfig(learning_rate=0.5, epochs=30)
+    train_bp(nets[0], sample_sets[0], cfg)  # the others train fine alone
+    train_bp(nets[2], sample_sets[2], cfg)
+    with pytest.raises(DivergenceError, match="learning rate"):
+        train_bp_batch(nets, sample_sets, cfg)
 
 
 # ---------------------------------------------------------------------------
