@@ -7,7 +7,6 @@ is fitted to all folds in one call, so the folds' networks train together.
 
 from __future__ import annotations
 
-import numpy as np
 
 from ..errors import InsufficientDataError
 from ..hybrid import combine_forecasts
@@ -16,6 +15,7 @@ from .config import PipelineConfig
 from .models import (
     DEFAULT_COMPONENTS,
     align_fitted,
+    components_markov_report,
     compute_weights,
     fit_model,  # noqa: F401  (kept importable here; bench/spans.py times it)
     fit_models,
@@ -50,7 +50,6 @@ def run_backtest(
     pooled_actual: list[float] = []
     plot_rows: list[list] = []
     fold_docs: list[dict] = []
-    markov_report = None
 
     origins = [first_origin + fold * h for fold in range(folds)]
     trains = [values[:origin] for origin in origins]
@@ -62,9 +61,6 @@ def run_backtest(
         weights = compute_weights(fold_actual, fold_preds, cfg)
         forecasts = [fit.forecast(h) for fit in fits]
         hybrid_forecast = combine_forecasts(forecasts, weights, cfg.combine)
-        for fit in fits:
-            if fit.markov_report is not None:
-                markov_report = fit.markov_report
         fold_docs.append(
             {
                 "origin": origin,
@@ -83,6 +79,7 @@ def run_backtest(
                 + [hybrid_forecast[step]]
             )
 
+    last_fold = [fits[-1] for fits in fits_by_kind]
     report = {
         "schema_version": 1,
         "command": "backtest",
@@ -96,7 +93,7 @@ def run_backtest(
             "scheme": cfg.hybrid_scheme,
             "metrics": metrics_doc(pooled_actual, pooled["hybrid"]),
         },
-        "markov_test": markov_report_doc(markov_report),
+        "markov_test": markov_report_doc(components_markov_report(last_fold)),
     }
     header = ["t", "actual"] + names + ["hybrid"]
     return report, header, plot_rows

@@ -105,6 +105,8 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
                 raw = json.load(handle)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

@@ -16,11 +16,21 @@ from ..series import TimeSeries
 SERIES_HEADERS = (("value",), ("date", "value"))
 
 
+@contextmanager
+def _open_input(path, newline=None):
+    """Open ``path`` for reading; a missing or unreadable file is exit 3."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as handle:
+            yield handle
+    except FileNotFoundError as exc:
+        raise MissingInputError(f"input file not found: {path}") from exc
+    except OSError as exc:
+        raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _read_rows(source) -> list[list[str]]:
     if isinstance(source, (str, os.PathLike)):
-        if not os.path.exists(source):
-            raise MissingInputError(f"input file not found: {source}")
-        with open(source, newline="", encoding="utf-8") as handle:
+        with _open_input(source, newline="") as handle:
             return [row for row in csv.reader(handle)]
     return [row for row in csv.reader(source)]
 

@@ -7,7 +7,7 @@ Exit codes map one-to-one onto error classes:
     0  success
     1  unclassified package error
     2  configuration or usage error
-    3  missing input file
+    3  missing or unreadable input file
     4  CSV parse error
     5  data precondition violated (length, sign, alignment, degeneracy)
     6  numeric failure (rank, overflow, divergence)
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -35,8 +34,6 @@ from ..hybrid import combine_forecasts
 from ..markov import (
     StatePartition,
     TransitionCounts,
-    classify_states,
-    count_transitions,
     marginal_distribution,
     markov_property_test,
 )
@@ -44,7 +41,7 @@ from ..series import relative_residuals
 from .backtest import run_backtest
 from .config import PipelineConfig, load_config, parse_boundaries
 from .io import (
-    dump_json,
+    _open_input,
     parse_counts_csv,
     parse_series_csv,
     sniff_csv_kind,
@@ -55,8 +52,10 @@ from .io import (
 )
 from .models import (
     DEFAULT_COMPONENTS,
+    _markov_summary,
     _plain,
     assemble_hybrid,
+    components_markov_report,
     fit_model,
     markov_report_doc,
     metrics_doc,
@@ -115,9 +114,7 @@ def _components_from_args(args) -> tuple[str, ...]:
 
 
 def _load_json_doc(path: str) -> dict:
-    if not os.path.exists(path):
-        raise MissingInputError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as handle:
+    with _open_input(path) as handle:
         try:
             doc = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -176,11 +173,7 @@ def _markov_from_series(args, cfg: PipelineConfig):
     fitted = fit_model(base_kind, series.values, cfg)
     residuals = relative_residuals(series.values, fitted.fitted)
     partition = StatePartition(np.asarray(cfg.state_boundaries))
-    classified = classify_states(residuals.values, partition)
-    counts = count_transitions(classified)
-    occupancy = np.bincount(classified.states, minlength=partition.k + 1)[1:]
-    marginals = marginal_distribution(occupancy, classified.states.size)
-    return markov_property_test(counts, marginals, alpha=cfg.alpha)
+    return _markov_summary(residuals.values, partition, cfg)
 
 
 def cmd_markov_test(args) -> int:
@@ -218,9 +211,6 @@ def cmd_hybrid(args) -> int:
     hybrid_forecast = combine_forecasts(
         list(component_forecasts.values()), weights, cfg.combine
     )
-    markov_report = next(
-        (f.markov_report for f in fits if f.markov_report is not None), None
-    )
     report = {
         "schema_version": 1,
         "command": "hybrid",
@@ -239,7 +229,7 @@ def cmd_hybrid(args) -> int:
             "values": [float(w) for w in weights.weights],
             "diagnostics": _plain(weights.diagnostics),
         },
-        "markov_test": markov_report_doc(markov_report),
+        "markov_test": markov_report_doc(components_markov_report(fits)),
         "forecast": {
             "start_t": len(series) + 1,
             "horizon": horizon,

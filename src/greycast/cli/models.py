@@ -7,6 +7,11 @@ model kinds uniformly.  Fitting goes through the :data:`FITTERS` registry,
 whose entries fit one model to each series of a list (the networks of all
 those fits train together), and which tests may wrap to observe exactly
 what data each fit saw.
+
+Forecasts have one path: ``forecast(h)`` rebuilds the model from its
+``to_doc()`` through :func:`model_from_doc`, the same code that
+``greycast forecast`` runs on a persisted doc, so a fit and its saved doc
+forecast alike by construction.
 """
 
 from __future__ import annotations
@@ -71,52 +76,50 @@ class FittedModel:
     kind: str
     start_t: int
     fitted: np.ndarray
-    _forecast: callable
     _doc: dict
     markov_report: MarkovTestReport | None = None
     weights: HybridWeights | None = None
 
     def forecast(self, horizon: int) -> np.ndarray:
-        return self._forecast(horizon)
+        return model_from_doc(self.to_doc()).forecast(horizon)
 
     def to_doc(self) -> dict:
         return dict(self._doc)
 
 
+def _gm_doc(m: GmModel) -> dict:
+    return {"a": m.a, "u": m.u, "x0_first": m.x0_first, "n_fit": m.n_fit}
+
+
+def _gm_from_doc(doc: dict) -> GmModel:
+    return GmModel(a=doc["a"], u=doc["u"], x0_first=doc["x0_first"], n_fit=doc["n_fit"])
+
+
+def _dgm_doc(m: DgmModel) -> dict:
+    return {"beta": [float(b) for b in m.beta], "xi": m.xi, "n_fit": m.n_fit}
+
+
+def _dgm_from_doc(doc: dict) -> DgmModel:
+    return DgmModel(beta=np.asarray(doc["beta"]), xi=doc["xi"], n_fit=doc["n_fit"])
+
+
 def _fit_gm(values, cfg: PipelineConfig) -> FittedModel:
     model = fit_gm11(values)
-    path = forecast_gm11(model, 1)
     return FittedModel(
         kind="gm",
         start_t=1,
-        fitted=path[: model.n_fit],
-        _forecast=lambda h: forecast_gm11(model, h)[model.n_fit :],
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "gm",
-            "a": model.a,
-            "u": model.u,
-            "x0_first": model.x0_first,
-            "n_fit": model.n_fit,
-        },
+        fitted=forecast_gm11(model, 1)[: model.n_fit],
+        _doc={"schema_version": SCHEMA_VERSION, "kind": "gm", **_gm_doc(model)},
     )
 
 
 def _fit_dgm(values, cfg: PipelineConfig) -> FittedModel:
     model = fit_dgm(values)
-    path = forecast_dgm(model, 1)
     return FittedModel(
         kind="dgm",
         start_t=1,
-        fitted=path[: model.n_fit],
-        _forecast=lambda h: forecast_dgm(model, h)[model.n_fit :],
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dgm",
-            "beta": [float(b) for b in model.beta],
-            "xi": model.xi,
-            "n_fit": model.n_fit,
-        },
+        fitted=forecast_dgm(model, 1)[: model.n_fit],
+        _doc={"schema_version": SCHEMA_VERSION, "kind": "dgm", **_dgm_doc(model)},
     )
 
 
@@ -129,13 +132,6 @@ def _markov_summary(residuals, partition: StatePartition, cfg: PipelineConfig):
     return markov_property_test(counts, marginals, alpha=cfg.alpha)
 
 
-def _fmarkov_forecast(dgm_model, fm, z_last, y_last, horizon):
-    raw = forecast_dgm(dgm_model, horizon)[dgm_model.n_fit :]
-    out = raw.copy()
-    out[0] = raw[0] + expected_drift(fm, z_last) * y_last
-    return out
-
-
 def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
     values = as_values(values)
     partition = StatePartition(np.asarray(cfg.state_boundaries))
@@ -144,8 +140,6 @@ def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
     residuals = relative_residuals(values, raw)
     fm = fuzzy_transition_matrix(residuals.values, partition)
     corrected = fmarkov_correct(raw, values, fm)
-    z_last = float(residuals.values[-1])
-    y_last = float(values[-1])
     try:
         markov_report = _markov_summary(residuals.values, partition, cfg)
     except ConfigError:
@@ -154,21 +148,16 @@ def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
         kind="dgm_fmarkov",
         start_t=1,
         fitted=corrected,
-        _forecast=lambda h: _fmarkov_forecast(dgm_model, fm, z_last, y_last, h),
         _doc={
             "schema_version": SCHEMA_VERSION,
             "kind": "fmarkov",
-            "dgm": {
-                "beta": [float(b) for b in dgm_model.beta],
-                "xi": dgm_model.xi,
-                "n_fit": dgm_model.n_fit,
-            },
+            "dgm": _dgm_doc(dgm_model),
             "boundaries": [float(b) for b in partition.boundaries],
             "fuzzy_counts": fm.fuzzy_counts.tolist(),
             "fuzzy_probs": fm.fuzzy_probs.tolist(),
             "degenerate_rows": [bool(v) for v in fm.degenerate_rows],
-            "last_residual": z_last,
-            "last_actual": y_last,
+            "last_residual": float(residuals.values[-1]),
+            "last_actual": float(values[-1]),
             "n_fit": dgm_model.n_fit,
         },
         markov_report=markov_report,
@@ -209,7 +198,6 @@ def _ignn_model(forecaster: IgnnForecaster, cfg: PipelineConfig) -> FittedModel:
         kind="ignn",
         start_t=cfg.window + 1,
         fitted=ignn_fitted(forecaster),
-        _forecast=lambda h: ignn_forecast(forecaster, h),
         _doc={
             "schema_version": SCHEMA_VERSION,
             "kind": "net",
@@ -240,16 +228,12 @@ def _sgnn_model(forecaster: SgnnForecaster) -> FittedModel:
         kind="sgnn",
         start_t=forecaster.eval_start,
         fitted=sgnn_fitted(forecaster),
-        _forecast=lambda h: sgnn_forecast(forecaster, h),
         _doc={
             "schema_version": SCHEMA_VERSION,
             "kind": "net",
             "variant": "sgnn",
             "net": _net_doc(forecaster.net),
-            "gm_models": [
-                {"a": m.a, "u": m.u, "x0_first": m.x0_first, "n_fit": m.n_fit}
-                for m in forecaster.gm_models
-            ],
+            "gm_models": [_gm_doc(m) for m in forecaster.gm_models],
             "offsets": list(forecaster.offsets),
             "n_fit": forecaster.n_fit,
         },
@@ -309,19 +293,10 @@ def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> F
     fits, start, actual, predictions, weights, combined = assemble_hybrid(
         values, cfg, components
     )
-
-    def forecast(h):
-        parts = [f.forecast(h) for f in fits]
-        return combine_forecasts(parts, weights, cfg.combine)
-
-    markov_report = next(
-        (f.markov_report for f in fits if f.markov_report is not None), None
-    )
     return FittedModel(
         kind="hybrid",
         start_t=start,
         fitted=combined,
-        _forecast=forecast,
         _doc={
             "schema_version": SCHEMA_VERSION,
             "kind": "hybrid",
@@ -331,9 +306,18 @@ def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> F
             "diagnostics": _plain(weights.diagnostics),
             "components": [f.to_doc() for f in fits],
         },
-        markov_report=markov_report,
+        markov_report=components_markov_report(fits),
         weights=weights,
     )
+
+
+def components_markov_report(fits) -> MarkovTestReport | None:
+    """The Markov report of the first component that carries one.
+
+    Only ``dgm_fmarkov`` fits carry a report, and a hybrid's components
+    are distinct kinds, so there is at most one.
+    """
+    return next((f.markov_report for f in fits if f.markov_report is not None), None)
 
 
 def _plain(obj):
@@ -385,7 +369,8 @@ def fit_model(kind: str, values, cfg: PipelineConfig, components=DEFAULT_COMPONE
 
 
 # ---------------------------------------------------------------------------
-# Forecast-only reconstruction from persisted docs.
+# Forecasts: every model, fitted here or loaded from a file, forecasts
+# through its doc.
 # ---------------------------------------------------------------------------
 
 
@@ -450,6 +435,13 @@ def _check_keys(node, keys, path: str) -> None:
         _check_keys(node[key], sub, where)
 
 
+def _fmarkov_forecast(dgm_model, fm, z_last, y_last, horizon):
+    raw = forecast_dgm(dgm_model, horizon)[dgm_model.n_fit :]
+    out = raw.copy()
+    out[0] = raw[0] + expected_drift(fm, z_last) * y_last
+    return out
+
+
 def model_from_doc(doc: dict) -> LoadedModel:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DataError("model document must be a JSON object with a 'kind' field")
@@ -462,14 +454,13 @@ def model_from_doc(doc: dict) -> LoadedModel:
     if kind == "net":
         _check_keys(doc, _DOC_KEYS.get(doc["variant"]), "")
     if kind == "gm":
-        model = GmModel(a=doc["a"], u=doc["u"], x0_first=doc["x0_first"], n_fit=doc["n_fit"])
+        model = _gm_from_doc(doc)
         return LoadedModel("gm", model.n_fit, lambda h: forecast_gm11(model, h)[model.n_fit :])
     if kind == "dgm":
-        model = DgmModel(beta=np.asarray(doc["beta"]), xi=doc["xi"], n_fit=doc["n_fit"])
+        model = _dgm_from_doc(doc)
         return LoadedModel("dgm", model.n_fit, lambda h: forecast_dgm(model, h)[model.n_fit :])
     if kind == "fmarkov":
-        sub = doc["dgm"]
-        dgm_model = DgmModel(beta=np.asarray(sub["beta"]), xi=sub["xi"], n_fit=sub["n_fit"])
+        dgm_model = _dgm_from_doc(doc["dgm"])
         partition = StatePartition(np.asarray(doc["boundaries"]))
         fm = FuzzyMarkovModel(
             partition=partition,
@@ -497,7 +488,7 @@ def model_from_doc(doc: dict) -> LoadedModel:
         if doc["variant"] == "sgnn":
             forecaster = SgnnForecaster(
                 net=net,
-                gm_models=[GmModel(**m) for m in doc["gm_models"]],
+                gm_models=[_gm_from_doc(m) for m in doc["gm_models"]],
                 offsets=list(doc["offsets"]),
                 n_fit=doc["n_fit"],
             )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, InsufficientDataError, RecursionOverflowError
-from .series import as_values
+from .series import as_horizon, as_values
 
 _OVERFLOW_LIMIT = 1e300
 
@@ -130,6 +130,4 @@ def simulate_dgm(beta, xi: float, n: int) -> np.ndarray:
 
 def forecast_dgm(m: DgmModel, horizon: int) -> np.ndarray:
     """Fitted values for t = 1..n_fit followed by ``horizon`` forecasts."""
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise DataError(f"horizon must be a positive integer, got {horizon!r}")
-    return simulate_dgm(m.beta, m.xi, m.n_fit + int(horizon))
+    return simulate_dgm(m.beta, m.xi, m.n_fit + as_horizon(horizon))

@@ -15,7 +15,7 @@ class ConfigError(GreycastError):
 
 
 class MissingInputError(GreycastError):
-    """An input file does not exist."""
+    """An input file does not exist or cannot be read."""
 
 
 class CsvParseError(GreycastError):

@@ -19,7 +19,7 @@ from .errors import (
     PositivityError,
     SingularSystemError,
 )
-from .series import as_values, iago
+from .series import as_horizon, as_values, iago
 
 GRADE_GOOD = "Good"
 GRADE_QUALIFIED = "Qualified"
@@ -86,9 +86,7 @@ def _ago_response(m: GmModel, total: int) -> np.ndarray:
 
 def forecast_gm11(m: GmModel, horizon: int) -> np.ndarray:
     """Fitted values for t = 1..n_fit followed by ``horizon`` forecasts."""
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise DataError(f"horizon must be a positive integer, got {horizon!r}")
-    x1_hat = _ago_response(m, m.n_fit + int(horizon))
+    x1_hat = _ago_response(m, m.n_fit + as_horizon(horizon))
     return iago(x1_hat)
 
 

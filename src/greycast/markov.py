@@ -156,14 +156,15 @@ def transition_probabilities(tc: TransitionCounts) -> tuple[np.ndarray, np.ndarr
     Returns (probs, degenerate_rows); rows with zero occupancy become
     uniform and are flagged.
     """
-    counts = np.asarray(tc.counts, dtype=float)
-    k = counts.shape[0]
-    totals = counts.sum(axis=1)
+    return _row_normalise(np.asarray(tc.counts, dtype=float))
+
+
+def _row_normalise(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows divided by their sums; all-zero rows become uniform and are flagged."""
+    totals = matrix.sum(axis=1)
     degenerate = totals == 0
-    probs = np.empty_like(counts)
-    safe = np.where(degenerate, 1.0, totals)
-    probs[:] = counts / safe[:, None]
-    probs[degenerate] = 1.0 / k
+    probs = matrix / np.where(degenerate, 1.0, totals)[:, None]
+    probs[degenerate] = 1.0 / matrix.shape[0]
     return probs, degenerate
 
 
@@ -273,12 +274,7 @@ def fuzzy_transition_matrix(z, partition: StatePartition) -> FuzzyMarkovModel:
         )
     memberships = np.vstack([fuzzy_memberships(v, partition) for v in values])
     a = memberships[:-1].T @ memberships[1:]
-    totals = a.sum(axis=1)
-    degenerate = totals == 0
-    probs = np.empty_like(a)
-    safe = np.where(degenerate, 1.0, totals)
-    probs[:] = a / safe[:, None]
-    probs[degenerate] = 1.0 / partition.k
+    probs, degenerate = _row_normalise(a)
     return FuzzyMarkovModel(
         partition=partition,
         fuzzy_counts=a,

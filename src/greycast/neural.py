@@ -20,7 +20,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .gm import GmModel, fit_gm11, forecast_gm11
-from .series import as_values, make_windows
+from .series import as_horizon, as_values, make_windows
 
 
 def sigmoid(z):
@@ -423,11 +423,10 @@ def ignn_fitted(f: IgnnForecaster) -> np.ndarray:
 
 def ignn_forecast(f: IgnnForecaster, horizon: int) -> np.ndarray:
     """Recursive multi-step forecast on the original scale."""
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise DataError(f"horizon must be a positive integer, got {horizon!r}")
+    h = as_horizon(horizon)
     buf = list(f.ago_values)
-    out = np.empty(int(horizon))
-    for step in range(int(horizon)):
+    out = np.empty(h)
+    for step in range(h):
         ago_next = predict_scaled(f.net, np.asarray(buf[-f.window :]))
         out[step] = ago_next - buf[-1]
         buf.append(ago_next)
@@ -538,9 +537,7 @@ def sgnn_fitted(f: SgnnForecaster) -> np.ndarray:
 
 def sgnn_forecast(f: SgnnForecaster, horizon: int) -> np.ndarray:
     """Combine the sub-models' own forecasts step by step."""
-    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
-        raise DataError(f"horizon must be a positive integer, got {horizon!r}")
-    h = int(horizon)
+    h = as_horizon(horizon)
     sub_forecasts = np.column_stack(
         [forecast_gm11(m, h)[m.n_fit :] for m in f.gm_models]
     )

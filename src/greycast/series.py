@@ -74,6 +74,13 @@ def as_values(x, min_len: int = 1) -> np.ndarray:
     return values
 
 
+def as_horizon(horizon) -> int:
+    """Validate a forecast horizon: a positive integer."""
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise DataError(f"horizon must be a positive integer, got {horizon!r}")
+    return int(horizon)
+
+
 def ago(x) -> np.ndarray:
     """Accumulated generating operation: running sum of the series."""
     return np.cumsum(as_values(x))

@@ -115,44 +115,33 @@ def test_fit_gm_on_constant_series(tmp_path, capsys):
     assert abs(doc["u"] - 10.0) < 1e-9
 
 
-def test_fit_then_forecast_round_trip(tmp_path):
+@pytest.mark.parametrize("kind", ["gm", "dgm", "dgm_fmarkov", "ignn", "sgnn", "hybrid"])
+def test_fit_then_forecast_round_trip(tmp_path, kind):
     data = tmp_path / "series.csv"
     values = synthetic_series(40, seed=3)
     write_series(data, values)
-    for kind in ("gm", "dgm", "dgm_fmarkov"):
-        model_path = tmp_path / f"{kind}.json"
-        out_path = tmp_path / f"{kind}_fc.csv"
-        assert main(["fit", "--model", kind, "--input", str(data), "--out", str(model_path)]) == 0
-        assert main(["forecast", "--input", str(model_path), "--horizon", "3", "--out", str(out_path)]) == 0
-        rows = out_path.read_text().strip().splitlines()
-        assert rows[0] == "t,forecast"
-        assert len(rows) == 4
-        assert rows[1].split(",")[0] == "41"
-    # gm forecast values must match the library path exactly
-    m = fit_gm11(values)
-    expected = forecast_gm11(m, 3)[m.n_fit :]
-    got = [float(r.split(",")[1]) for r in (tmp_path / "gm_fc.csv").read_text().strip().splitlines()[1:]]
-    assert np.allclose(got, expected, rtol=1e-15)
-
-
-def test_fit_then_forecast_net_kinds(tmp_path):
-    data = tmp_path / "series.csv"
-    write_series(data, synthetic_series(30, seed=4))
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"train": {"epochs": 30, "learning_rate": 0.1}}))
-    for kind in ("ignn", "sgnn", "hybrid"):
-        model_path = tmp_path / f"{kind}.json"
-        out_path = tmp_path / f"{kind}_fc.csv"
-        rc = main([
-            "fit", "--model", kind, "--input", str(data),
-            "--out", str(model_path), "--config", str(config),
-        ])
-        assert rc == 0
-        rc = main(["forecast", "--input", str(model_path), "--horizon", "2", "--out", str(out_path)])
-        assert rc == 0
-        rows = out_path.read_text().strip().splitlines()
-        assert len(rows) == 3
-        assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
+    model_path = tmp_path / "model.json"
+    out_path = tmp_path / "fc.csv"
+    assert main(["fit", "--model", kind, "--input", str(data),
+                 "--out", str(model_path), "--config", str(config)]) == 0
+    assert main(["forecast", "--input", str(model_path), "--horizon", "3", "--out", str(out_path)]) == 0
+    rows = out_path.read_text().strip().splitlines()
+    assert rows[0] == "t,forecast"
+    assert [r.split(",")[0] for r in rows[1:]] == ["41", "42", "43"]
+    got = [float(r.split(",")[1]) for r in rows[1:]]
+    fit = cli_models.fit_model(kind, values, load_config(str(config), {}))
+    np.testing.assert_allclose(got, fit.forecast(3), rtol=1e-15)
+    if kind == "gm":  # and the library path
+        m = fit_gm11(values)
+        np.testing.assert_allclose(got, forecast_gm11(m, 3)[m.n_fit :], rtol=1e-15)
+    if kind == "hybrid":  # the hybrid command reports the saved model's forecast
+        report_path = tmp_path / "report.json"
+        assert main(["hybrid", "--input", str(data), "--out", str(report_path),
+                     "--horizon", "3", "--config", str(config)]) == 0
+        report = json.loads(report_path.read_text())
+        np.testing.assert_allclose(report["forecast"]["hybrid"], got, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +416,12 @@ def _probe_argv(tmp_path, probe):
     if probe == "report_not_an_object":
         (tmp_path / "r.json").write_text("[1, 2]")
         return ["report", "--input", str(tmp_path / "r.json")]
+    if probe == "input_is_directory":
+        return ["fit", "--model", "gm", "--input", str(tmp_path), "--out", str(tmp_path / "m.json")]
+    if probe == "report_input_is_directory":
+        return ["report", "--input", str(tmp_path)]
+    if probe == "config_is_directory":
+        return fit + ["--config", str(tmp_path)]
     assert probe == "unwritable_output"
     return fit[:-1] + [str(tmp_path / "no_such_dir" / "m.json")]
 
@@ -438,6 +433,9 @@ def _probe_argv(tmp_path, probe):
     ("model_missing_key", 5),
     ("report_not_an_object", 5),
     ("unwritable_output", 2),
+    ("input_is_directory", 3),
+    ("report_input_is_directory", 3),
+    ("config_is_directory", 2),
 ])
 def test_exit_code_probes(tmp_path, capsys, probe, code):
     argv = _probe_argv(tmp_path, probe)
@@ -447,6 +445,8 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if probe == "model_missing_key":
         assert "'a'" in err
+    if probe.endswith("is_directory"):
+        assert "cannot read " in err
 
 
 @pytest.mark.parametrize("kind, path", [
