@@ -384,45 +384,74 @@ class LoadedModel:
         return self._forecast(horizon)
 
 
-# Keys each model document must hold, per kind and, for nets, per variant:
-# a dict names required keys and what their values must hold in turn, a
-# one-element list a list whose items must each match it, None anything.
-_SCALER_KEYS = {"scale": None, "offset": None}
-_GM_KEYS = {"a": None, "u": None, "x0_first": None, "n_fit": None}
-_DGM_KEYS = {"beta": None, "xi": None, "n_fit": None}
+# What each model document must hold, per kind and, for nets, per variant.
+# A dict names the keys of a JSON object and what each value must hold in
+# turn; the object may hold no other key.  A one-element list is a non-empty
+# JSON list whose items each match that element.  A string names a leaf:
+# "int", "number", "string", "bool", "object" (any JSON object), or
+# "matrix" (a non-empty list of equal-length lists of numbers).
+_SCALER_KEYS = {"scale": "number", "offset": "number"}
+_GM_KEYS = {"a": "number", "u": "number", "x0_first": "number", "n_fit": "int"}
+_DGM_KEYS = {"beta": ["number"], "xi": "number", "n_fit": "int"}
 _NET_KEYS = {
-    "layer_sizes": None,
-    "weights": None,
-    "biases": None,
+    "layer_sizes": ["int"],
+    "weights": ["matrix"],
+    "biases": [["number"]],
     "input_scaler": _SCALER_KEYS,
     "output_scaler": _SCALER_KEYS,
 }
+_HEADER = {"schema_version": "int", "kind": "string"}
+_NET_COMMON = {**_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "int"}
 _DOC_KEYS = {
-    "gm": _GM_KEYS,
-    "dgm": _DGM_KEYS,
+    "gm": {**_HEADER, **_GM_KEYS},
+    "dgm": {**_HEADER, **_DGM_KEYS},
     "fmarkov": {
+        **_HEADER,
         "dgm": _DGM_KEYS,
-        "boundaries": None,
-        "fuzzy_counts": None,
-        "fuzzy_probs": None,
-        "degenerate_rows": None,
-        "last_residual": None,
-        "last_actual": None,
-        "n_fit": None,
+        "boundaries": ["number"],
+        "fuzzy_counts": "matrix",
+        "fuzzy_probs": "matrix",
+        "degenerate_rows": ["bool"],
+        "last_residual": "number",
+        "last_actual": "number",
+        "n_fit": "int",
     },
-    "net": {"variant": None},
-    "ignn": {"net": _NET_KEYS, "window": None, "ago_tail": None, "n_fit": None},
-    "sgnn": {"net": _NET_KEYS, "gm_models": [_GM_KEYS], "offsets": None, "n_fit": None},
-    "hybrid": {"components": [{}], "weights": None, "combine": None},
+    "hybrid": {
+        **_HEADER,
+        "scheme": "string",
+        "combine": "string",
+        "weights": ["number"],
+        "diagnostics": "object",
+        "components": ["object"],
+    },
+}
+_NET_DOC_KEYS = {
+    "ignn": {**_NET_COMMON, "window": "int", "ago_tail": ["number"]},
+    "sgnn": {**_NET_COMMON, "gm_models": [_GM_KEYS], "offsets": ["int"]},
+}
+_LEAVES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "object": ("a JSON object", lambda v: isinstance(v, dict)),
 }
 
 
 def _check_keys(node, keys, path: str) -> None:
-    if keys is None:
+    if keys == "matrix":
+        _check_keys(node, [["number"]], path)
+        if len({len(row) for row in node}) > 1:
+            raise DataError(f"model document field {path!r} must have rows of equal length")
+        return
+    if isinstance(keys, str):
+        what, holds = _LEAVES[keys]
+        if not holds(node):
+            raise DataError(f"model document field {path!r} must be {what}")
         return
     if isinstance(keys, list):
-        if not isinstance(node, list):
-            raise DataError(f"model document field {path!r} must be a JSON list")
+        if not isinstance(node, list) or not node:
+            raise DataError(f"model document field {path!r} must be a non-empty JSON list")
         for i, item in enumerate(node):
             _check_keys(item, keys[0], f"{path}[{i}]")
         return
@@ -433,6 +462,10 @@ def _check_keys(node, keys, path: str) -> None:
         if key not in node:
             raise DataError(f"model document is missing key {where!r}")
         _check_keys(node[key], sub, where)
+    extra = sorted(set(node) - set(keys))
+    if extra:
+        where = f"{path}.{extra[0]}" if path else extra[0]
+        raise DataError(f"model document has unknown key {where!r}")
 
 
 def _fmarkov_forecast(dgm_model, fm, z_last, y_last, horizon):
@@ -450,9 +483,10 @@ def model_from_doc(doc: dict) -> LoadedModel:
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
     kind = doc["kind"]
-    _check_keys(doc, _DOC_KEYS.get(kind), "")
-    if kind == "net":
-        _check_keys(doc, _DOC_KEYS.get(doc["variant"]), "")
+    table, name = (_NET_DOC_KEYS, doc.get("variant")) if kind == "net" else (_DOC_KEYS, kind)
+    if not isinstance(name, str) or name not in table:
+        raise DataError(f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}")
+    _check_keys(doc, table[name], "")
     if kind == "gm":
         model = _gm_from_doc(doc)
         return LoadedModel("gm", model.n_fit, lambda h: forecast_gm11(model, h)[model.n_fit :])
@@ -485,26 +519,22 @@ def model_from_doc(doc: dict) -> LoadedModel:
                 n_fit=doc["n_fit"],
             )
             return LoadedModel("ignn", doc["n_fit"], lambda h: ignn_forecast(forecaster, h))
-        if doc["variant"] == "sgnn":
-            forecaster = SgnnForecaster(
-                net=net,
-                gm_models=[_gm_from_doc(m) for m in doc["gm_models"]],
-                offsets=list(doc["offsets"]),
-                n_fit=doc["n_fit"],
-            )
-            return LoadedModel("sgnn", doc["n_fit"], lambda h: sgnn_forecast(forecaster, h))
-        raise DataError(f"unknown net variant {doc['variant']!r}")
-    if kind == "hybrid":
-        parts = [model_from_doc(sub) for sub in doc["components"]]
-        weights = np.asarray(doc["weights"], dtype=float)
-        combine = doc["combine"]
+        forecaster = SgnnForecaster(
+            net=net,
+            gm_models=[_gm_from_doc(m) for m in doc["gm_models"]],
+            offsets=list(doc["offsets"]),
+            n_fit=doc["n_fit"],
+        )
+        return LoadedModel("sgnn", doc["n_fit"], lambda h: sgnn_forecast(forecaster, h))
+    parts = [model_from_doc(sub) for sub in doc["components"]]  # a hybrid
+    weights = np.asarray(doc["weights"], dtype=float)
+    combine = doc["combine"]
 
-        def forecast(h):
-            columns = [p.forecast(h) for p in parts]
-            return combine_forecasts(columns, weights, combine)
+    def forecast(h):
+        columns = [p.forecast(h) for p in parts]
+        return combine_forecasts(columns, weights, combine)
 
-        return LoadedModel("hybrid", max(p.n_fit for p in parts), forecast)
-    raise DataError(f"unknown model kind {kind!r}")
+    return LoadedModel("hybrid", max(p.n_fit for p in parts), forecast)
 
 
 def markov_report_doc(report: MarkovTestReport | None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -21,10 +22,6 @@ from .errors import (
 )
 from .gm import GmModel, fit_gm11, forecast_gm11
 from .series import as_horizon, as_values, make_windows
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass(frozen=True)
@@ -111,16 +108,6 @@ class FeedforwardNet:
                 )
         self.layer_sizes = sizes
 
-    def copy(self) -> "FeedforwardNet":
-        return FeedforwardNet(
-            layer_sizes=self.layer_sizes,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            input_scaler=self.input_scaler,
-            output_scaler=self.output_scaler,
-            loss_history=list(self.loss_history),
-        )
-
 
 def init_net(
     layer_sizes,
@@ -145,65 +132,100 @@ def init_net(
     )
 
 
-def _forward_cached(net: FeedforwardNet, x: np.ndarray):
-    """Forward pass keeping every activation for back-propagation."""
-    activations = [x]
+def _stack(nets):
+    """Weights (nets, out, in) and column biases (nets, out, 1) of nets of one shape."""
+    layers = range(len(nets[0].weights))
+    weights = [np.stack([net.weights[l] for net in nets]) for l in layers]
+    return weights, [np.stack([net.biases[l] for net in nets])[..., None] for l in layers]
+
+
+def _forward(weights, biases, x, outs):
+    """Stacked forward pass of column inputs ``x`` (rows, inputs, 1), in place.
+
+    ``outs[l]`` receives layer l's outputs (rows, size, 1); the weights and
+    biases have a leading axis of rows, or of 1 to run one net on every row.
+    Hidden layers use the sigmoid.  Returns the linear output layer's array.
+    """
     a = x
-    last = len(net.weights) - 1
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = w @ a + b
-        a = z if layer == last else sigmoid(z)
-        activations.append(a)
-    return activations
+    last = len(weights) - 1
+    for l, (w, b, out) in enumerate(zip(weights, biases, outs)):
+        np.matmul(w, a, out=out)
+        out += b
+        if l < last:  # sigmoid, in place
+            np.negative(out, out=out)
+            np.exp(out, out=out)
+            out += 1.0
+            np.reciprocal(out, out=out)
+        a = out
+    return a
+
+
+def _backward(weights_t, ins, ins_t, error, rate, scaled, steps):
+    """Back-propagate ``error`` (output minus target) through a :func:`_forward` pass.
+
+    ``ins[l]`` is layer l's input in that pass and ``ins_t[l]`` its transpose.
+    Fills ``scaled[l]``, the loss gradient at layer l's output times
+    ``rate[l]`` (the bias step), and ``steps[l]``, that times the layer's
+    input (the weight step).  The weights are only read; the caller moves them.
+    """
+    delta = error
+    for l in range(len(steps) - 1, -1, -1):
+        np.multiply(delta, rate[l], out=scaled[l])
+        np.multiply(scaled[l], ins_t[l], out=steps[l])
+        if l:  # down through the weights and the sigmoid's slope (1 - a) * a
+            a = ins[l]
+            slope = np.subtract(1.0, a)
+            slope *= a
+            delta = np.matmul(weights_t[l], delta)
+            delta *= slope
+
+
+def _activations(net: FeedforwardNet, rows) -> list[np.ndarray]:
+    """One net's network-space inputs, then each layer's outputs, for every row
+    of ``rows`` (rows, inputs), as column arrays (rows, size, 1)."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != net.layer_sizes[0]:
+        raise DataError(
+            f"input shape {rows.shape[1:]} does not match input layer "
+            f"size {net.layer_sizes[0]}"
+        )
+    acts = [rows[..., None]] + [np.empty((len(rows), s, 1)) for s in net.layer_sizes[1:]]
+    _forward(*_stack([net]), acts[0], acts[1:])
+    return acts
+
+
+def _sq_total(errors) -> float:
+    """Squared error summed over (samples, outputs): a running total in sample
+    order, as a per-sample loop adds it."""
+    return float(np.cumsum(np.square(errors).sum(axis=-1))[-1])
 
 
 def forward(net: FeedforwardNet, x) -> np.ndarray:
     """Network-space forward pass (no scaling applied)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (net.layer_sizes[0],):
-        raise DataError(
-            f"input shape {x.shape} does not match input layer "
-            f"size {net.layer_sizes[0]}"
-        )
-    return _forward_cached(net, x)[-1]
-
-
-def _sample_gradients(net: FeedforwardNet, x: np.ndarray, target: np.ndarray):
-    """Gradients of 0.5*||out - target||^2 for one sample."""
-    activations = _forward_cached(net, x)
-    delta = activations[-1] - target
-    loss = 0.5 * float(delta @ delta)
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.weights)
-    for layer in range(len(net.weights) - 1, -1, -1):
-        grads_w[layer] = np.outer(delta, activations[layer])
-        grads_b[layer] = delta
-        if layer > 0:
-            a_prev = activations[layer]
-            delta = (net.weights[layer].T @ delta) * a_prev * (1.0 - a_prev)
-    return loss, grads_w, grads_b
+    return _activations(net, np.atleast_1d(np.asarray(x, dtype=float))[None])[-1][0, :, 0]
 
 
 def backprop_gradients(net: FeedforwardNet, inputs, targets):
     """Total loss and summed gradients over a batch.
 
-    Loss is sum over samples of 0.5*||forward(x) - t||^2; used by the
-    training loop and by finite-difference checks.
+    Loss is sum over samples of 0.5*||forward(x) - t||^2.  The gradients
+    come from the back-propagation that trains: each sample is one row of
+    the stack, run through ``net``'s weights at a rate of 1, and the
+    per-sample steps are summed.  Finite-difference checks test it.
     """
-    inputs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in inputs]
-    targets = [np.atleast_1d(np.asarray(t, dtype=float)) for t in targets]
+    inputs, targets = list(inputs), list(targets)
     if not inputs or len(inputs) != len(targets):
         raise DataError("inputs and targets must be non-empty and aligned")
-    total = 0.0
-    acc_w = [np.zeros_like(w) for w in net.weights]
-    acc_b = [np.zeros_like(b) for b in net.biases]
-    for x, t in zip(inputs, targets):
-        loss, gw, gb = _sample_gradients(net, x, t)
-        total += loss
-        for layer in range(len(acc_w)):
-            acc_w[layer] += gw[layer]
-            acc_b[layer] += gb[layer]
-    return total, acc_w, acc_b
+    x, t = _as_sample_arrays(list(zip(inputs, targets)), net.layer_sizes)
+    *ins, out = _activations(net, x)
+    error = out - t[..., None]
+    scaled = [np.empty((len(x), s, 1)) for s in net.layer_sizes[1:]]
+    steps = [np.empty((len(x), *w.shape)) for w in net.weights]
+    ins_t = [a.transpose(0, 2, 1) for a in ins]
+    weights_t = [w.T[None] for w in net.weights]
+    _backward(weights_t, ins, ins_t, error, [1.0] * len(steps), scaled, steps)
+    grads_b = [step.sum(axis=0)[:, 0] for step in scaled]
+    return 0.5 * _sq_total(error[..., 0]), [step.sum(axis=0) for step in steps], grads_b
 
 
 def train_bp(net: FeedforwardNet, samples, cfg: TrainConfig | None = None) -> FeedforwardNet:
@@ -230,13 +252,6 @@ def _as_sample_arrays(samples, sizes):
     return inputs, targets
 
 
-def _mean_sq_error(net: FeedforwardNet, inputs, targets) -> float:
-    return sum(
-        float(np.sum((_forward_cached(net, x)[-1] - t) ** 2))
-        for x, t in zip(inputs, targets)
-    ) / len(inputs)
-
-
 def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[FeedforwardNet]:
     """Train independent nets of one shape in lockstep, each on its own samples.
 
@@ -260,15 +275,16 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
     if any(net.layer_sizes != nets[0].layer_sizes for net in nets):
         raise DataError("nets trained together must share their layer sizes")
     sizes = nets[0].layer_sizes
-    last = len(sizes) - 2
     data = [_as_sample_arrays(samples, sizes) for samples in sample_sets]
     counts = [inputs.shape[0] for inputs, _ in data]
     width = max(counts)
-    trained = [net.copy() for net in nets]
-    histories = [[_mean_sq_error(net, *arrays)] for net, arrays in zip(trained, data)]
+    histories = [
+        [_sq_total(_activations(net, inputs)[-1][..., 0] - outputs) / n]
+        for net, (inputs, outputs), n in zip(nets, data, counts)
+    ]
 
-    weights = [np.stack([net.weights[l] for net in trained]) for l in range(last + 1)]
-    biases = [np.stack([net.biases[l] for net in trained])[..., None] for l in range(last + 1)]
+    weights, biases = _stack(nets)
+    weights_t = [w.transpose(0, 2, 1) for w in weights]
     # Per epoch, step-major copies of every net's shuffled samples; the
     # steps past a net's sample count keep its first sample.
     xs = np.empty((width, len(nets), sizes[0], 1))
@@ -282,15 +298,11 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
         for rate in rates:
             rate[:n, b] = cfg.learning_rate
     errors = np.empty_like(targets)  # output minus target at each step
-    # outs[l] is layer l's output and outs_t[l] its transpose; deltas[l] is
-    # the loss gradient at that output, scaled[l] that gradient times the
-    # learning rate, and steps[l] the update to weights[l].
+    # outs[l] is layer l's output; scaled[l] and steps[l] are the steps
+    # for biases[l] and weights[l].
     outs = [np.empty((len(nets), s, 1)) for s in sizes[1:]]
-    outs_t = [out.transpose(0, 2, 1) for out in outs]
-    weights_t = [w.transpose(0, 2, 1) for w in weights]
-    deltas = [np.empty_like(out) for out in outs[:-1]] + [None]
+    hidden_t = [out.transpose(0, 2, 1) for out in outs[:-1]]
     scaled = [np.empty_like(out) for out in outs]
-    slope = [np.empty_like(out) for out in outs[:-1]]
     steps = [np.empty_like(w) for w in weights]
     rngs = [np.random.default_rng(cfg.seed) for _ in nets]
     # Divergence shows up as non-finite loss, which is detected and raised;
@@ -304,51 +316,39 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
             for x, x_t, target, error, rate in zip(
                 xs, xs.transpose(0, 1, 3, 2), targets, errors, zip(*rates)
             ):
-                a = x
-                for l in range(last + 1):
-                    out = outs[l]
-                    np.matmul(weights[l], a, out=out)
-                    out += biases[l]
-                    if l < last:  # sigmoid, in place
-                        np.negative(out, out=out)
-                        np.exp(out, out=out)
-                        out += 1.0
-                        np.reciprocal(out, out=out)
-                    a = out
-                np.subtract(a, target, out=error)
-                deltas[last] = error
-                for l in range(last, -1, -1):
-                    delta = deltas[l]
-                    if l:  # back-propagate through the weights before they move
-                        below, a_below = deltas[l - 1], outs[l - 1]
-                        np.matmul(weights_t[l], delta, out=below)
-                        np.subtract(1.0, a_below, out=slope[l - 1])
-                        slope[l - 1] *= a_below
-                        below *= slope[l - 1]
-                    np.multiply(delta, rate[l], out=scaled[l])
-                    np.multiply(scaled[l], outs_t[l - 1] if l else x_t, out=steps[l])
-                    weights[l] -= steps[l]
-                    biases[l] -= scaled[l]
-            # A running total in sample order, as a per-sample loop adds it.
-            sq = np.square(errors[..., 0]).sum(axis=-1)
+                np.subtract(_forward(weights, biases, x, outs), target, out=error)
+                ins, ins_t = [x, *outs[:-1]], [x_t, *hidden_t]
+                _backward(weights_t, ins, ins_t, error, rate, scaled, steps)
+                for w, bias, step, bias_step in zip(weights, biases, steps, scaled):
+                    w -= step
+                    bias -= bias_step
             for b, (history, n) in enumerate(zip(histories, counts)):
-                epoch_loss = float(np.cumsum(sq[:n, b])[-1]) / n
+                epoch_loss = _sq_total(errors[:n, b, :, 0]) / n
                 if not np.isfinite(epoch_loss):
                     raise DivergenceError(
                         "training loss is not finite; try a smaller learning rate"
                     )
                 history.append(epoch_loss)
-    for b, (net, history) in enumerate(zip(trained, histories)):
-        net.weights = [w[b].copy() for w in weights]
-        net.biases = [bias[b, :, 0].copy() for bias in biases]
-        net.loss_history = history
-    return trained
+    return [
+        replace(
+            net,
+            weights=[w[b].copy() for w in weights],
+            biases=[bias[b, :, 0].copy() for bias in biases],
+            loss_history=history,
+        )
+        for b, (net, history) in enumerate(zip(nets, histories))
+    ]
+
+
+def _predict_rows(net: FeedforwardNet, rows) -> np.ndarray:
+    """:func:`predict_scaled` on each row of raw inputs, in one forward pass."""
+    outputs = _activations(net, net.input_scaler.transform(rows))[-1]
+    return net.output_scaler.inverse(outputs[:, 0, 0])
 
 
 def predict_scaled(net: FeedforwardNet, raw_inputs) -> float:
     """Scale raw inputs, run the net, unscale the scalar output."""
-    x = net.input_scaler.transform(raw_inputs)
-    return float(net.output_scaler.inverse(forward(net, x))[0])
+    return float(_predict_rows(net, [raw_inputs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +414,8 @@ def ignn_fitted(f: IgnnForecaster) -> np.ndarray:
     accumulated value, so the white layer is exact regardless of how well
     the net fits.
     """
-    out = np.empty(f.n_fit - f.window)
-    for i in range(out.size):
-        ago_next = predict_scaled(f.net, f.ago_values[i : i + f.window])
-        out[i] = ago_next - f.ago_values[i + f.window - 1]
-    return out
+    windows = sliding_window_view(f.ago_values[: f.n_fit - 1], f.window)
+    return _predict_rows(f.net, windows) - windows[:, -1]
 
 
 def ignn_forecast(f: IgnnForecaster, horizon: int) -> np.ndarray:
@@ -531,14 +528,13 @@ def sgnn_fit_batch(
 
 def sgnn_fitted(f: SgnnForecaster) -> np.ndarray:
     """In-sample combined values for t = eval_start .. n_fit."""
-    inputs = _sub_model_inputs(f)
-    return np.array([predict_scaled(f.net, row) for row in inputs])
+    return _predict_rows(f.net, _sub_model_inputs(f))
 
 
 def sgnn_forecast(f: SgnnForecaster, horizon: int) -> np.ndarray:
-    """Combine the sub-models' own forecasts step by step."""
+    """Combine the sub-models' own forecasts at each step."""
     h = as_horizon(horizon)
     sub_forecasts = np.column_stack(
         [forecast_gm11(m, h)[m.n_fit :] for m in f.gm_models]
     )
-    return np.array([predict_scaled(f.net, row) for row in sub_forecasts])
+    return _predict_rows(f.net, sub_forecasts)

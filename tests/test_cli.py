@@ -393,11 +393,42 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert rc == 6
 
 
+# Model docs with a value of the wrong JSON type, an unknown key or a ragged
+# matrix: probe -> (kind fitted, path of the field, value written there).
+_DOC_EDITS = {
+    "ignn_window_string": ("ignn", ("window",), "4"),
+    "ignn_n_fit_string": ("ignn", ("n_fit",), "x"),
+    "ignn_ago_tail_string": ("ignn", ("ago_tail",), "abcd"),
+    "scaler_scale_string": ("ignn", ("net", "input_scaler", "scale"), "x"),
+    "scaler_extra_key": ("ignn", ("net", "input_scaler", "extra"), 1.0),
+    "variant_list": ("ignn", ("variant",), [1]),
+    "ragged_weights": ("ignn", ("net", "weights", 0, 0), [0.5]),
+    "sgnn_no_gm_models": ("sgnn", ("gm_models",), []),
+    "gm_a_string": ("gm", ("a",), "x"),
+    "gm_n_fit_fraction": ("gm", ("n_fit",), 40.5),
+    "fmarkov_beta_string": ("dgm_fmarkov", ("dgm", "beta"), "abcd"),
+    "ragged_fuzzy_probs": ("dgm_fmarkov", ("fuzzy_probs", 0), [1.0]),
+}
+
+
 def _probe_argv(tmp_path, probe):
     """Write the probe's input files; return the greycast argv to run."""
     data = tmp_path / "s.csv"
     write_series(data, synthetic_series(30, seed=9))
     fit = ["fit", "--model", "gm", "--input", str(data), "--out", str(tmp_path / "m.json")]
+    forecast = ["forecast", "--input", str(tmp_path / "m.json"), "--out", str(tmp_path / "f.csv")]
+    if probe in _DOC_EDITS:
+        kind, path, value = _DOC_EDITS[probe]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"train": {"epochs": 2}}))
+        assert main(["fit", "--model", kind, *fit[3:], "--config", str(config)]) == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        return forecast
     train = {
         "negative_learning_rate": {"learning_rate": -1},
         "zero_learning_rate": {"learning_rate": 0},
@@ -412,7 +443,7 @@ def _probe_argv(tmp_path, probe):
         doc = json.loads((tmp_path / "m.json").read_text())
         del doc["a"]
         (tmp_path / "m.json").write_text(json.dumps(doc))
-        return ["forecast", "--input", str(tmp_path / "m.json"), "--out", str(tmp_path / "f.csv")]
+        return forecast
     if probe == "report_not_an_object":
         (tmp_path / "r.json").write_text("[1, 2]")
         return ["report", "--input", str(tmp_path / "r.json")]
@@ -436,6 +467,7 @@ def _probe_argv(tmp_path, probe):
     ("input_is_directory", 3),
     ("report_input_is_directory", 3),
     ("config_is_directory", 2),
+    *((probe, 5) for probe in _DOC_EDITS),
 ])
 def test_exit_code_probes(tmp_path, capsys, probe, code):
     argv = _probe_argv(tmp_path, probe)

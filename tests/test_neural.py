@@ -223,6 +223,24 @@ def test_lockstep_training_matches_training_alone(sizes):
         assert len(got.loss_history) == cfg.epochs + 1
 
 
+@pytest.mark.parametrize("sizes", [(4, 4, 1), (3, 5, 2, 1)])
+def test_one_training_step_applies_the_checked_gradient(sizes):
+    # One epoch on one sample is one step of w - rate * grad, with the
+    # gradient the finite-difference checks test.
+    rng = np.random.default_rng(50)
+    net = init_net(sizes, seed=8)
+    [(x, t)] = random_samples(rng, 1, sizes)
+    rate = 0.3
+    cfg = TrainConfig(learning_rate=rate, epochs=1, shuffle=False)
+    trained = train_bp(net, [(x, t)], cfg)
+    loss, grads_w, grads_b = backprop_gradients(net, [x], [t])
+    for got, before, grad in zip(trained.weights + trained.biases,
+                                 net.weights + net.biases, grads_w + grads_b):
+        assert np.any(grad != 0.0)
+        np.testing.assert_allclose(got, before - rate * grad, rtol=1e-14, atol=0)
+    assert trained.loss_history[0] == 2 * loss / 1
+
+
 def test_lockstep_rejects_nets_of_different_shapes():
     rng = np.random.default_rng(48)
     nets = [init_net((2, 3, 1)), init_net((4, 4, 1))]
@@ -315,6 +333,26 @@ def test_ignn_horizon_validation():
 def test_ignn_forecasts_finite_regardless_of_net_quality():
     f = ignn_fit(np.linspace(10, 30, 15), window=4, cfg=TrainConfig(epochs=3, seed=9))
     assert np.all(np.isfinite(ignn_forecast(f, 10)))
+
+
+def test_batched_prediction_matches_predict_scaled_row_by_row():
+    rng = np.random.default_rng(51)
+    n = 30
+    values = 50.0 + 1.5 * np.arange(n) + rng.normal(0, 0.5, size=n)
+    cfg = TrainConfig(learning_rate=0.2, epochs=20, seed=3)
+    f = ignn_fit(values, window=4, cfg=cfg)
+    ago = f.ago_values
+    rows = [predict_scaled(f.net, ago[i : i + 4]) - ago[i + 3] for i in range(n - 4)]
+    assert np.array_equal(ignn_fitted(f), rows)
+
+    g = sgnn_fit(values, [n, 22, 15], cfg=cfg)
+    t0 = max(g.offsets)
+    fitted = np.column_stack([
+        forecast_gm11(m, 1)[: m.n_fit][t0 - off :] for m, off in zip(g.gm_models, g.offsets)
+    ])
+    assert np.array_equal(sgnn_fitted(g), [predict_scaled(g.net, row) for row in fitted])
+    ahead = np.column_stack([forecast_gm11(m, 5)[m.n_fit :] for m in g.gm_models])
+    assert np.array_equal(sgnn_forecast(g, 5), [predict_scaled(g.net, row) for row in ahead])
 
 
 # ---------------------------------------------------------------------------
