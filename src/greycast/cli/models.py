@@ -387,12 +387,15 @@ class LoadedModel:
 # What each model document must hold, per kind and, for nets, per variant.
 # A dict names the keys of a JSON object and what each value must hold in
 # turn; the object may hold no other key.  A one-element list is a non-empty
-# JSON list whose items each match that element.  A string names a leaf:
-# "int", "number", "string", "bool", "object" (any JSON object), or
-# "matrix" (a non-empty list of equal-length lists of numbers).
+# JSON list whose items each match that element; a longer list is a JSON
+# list of exactly that many items, each matching the element in its place.
+# A string names a leaf: "int", "count" (an integer of at least 1),
+# "number", "string", "bool", "object" (any JSON object), or "matrix" (a
+# non-empty list of equal-length lists of numbers).  Sizes that tie one
+# field to another are checked by :func:`_check_sizes`.
 _SCALER_KEYS = {"scale": "number", "offset": "number"}
-_GM_KEYS = {"a": "number", "u": "number", "x0_first": "number", "n_fit": "int"}
-_DGM_KEYS = {"beta": ["number"], "xi": "number", "n_fit": "int"}
+_GM_KEYS = {"a": "number", "u": "number", "x0_first": "number", "n_fit": "count"}
+_DGM_KEYS = {"beta": ["number"] * 4, "xi": "number", "n_fit": "count"}
 _NET_KEYS = {
     "layer_sizes": ["int"],
     "weights": ["matrix"],
@@ -401,7 +404,7 @@ _NET_KEYS = {
     "output_scaler": _SCALER_KEYS,
 }
 _HEADER = {"schema_version": "int", "kind": "string"}
-_NET_COMMON = {**_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "int"}
+_NET_COMMON = {**_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count"}
 _DOC_KEYS = {
     "gm": {**_HEADER, **_GM_KEYS},
     "dgm": {**_HEADER, **_DGM_KEYS},
@@ -414,7 +417,7 @@ _DOC_KEYS = {
         "degenerate_rows": ["bool"],
         "last_residual": "number",
         "last_actual": "number",
-        "n_fit": "int",
+        "n_fit": "count",
     },
     "hybrid": {
         **_HEADER,
@@ -426,11 +429,16 @@ _DOC_KEYS = {
     },
 }
 _NET_DOC_KEYS = {
-    "ignn": {**_NET_COMMON, "window": "int", "ago_tail": ["number"]},
+    "ignn": {**_NET_COMMON, "window": "count", "ago_tail": ["number"]},
     "sgnn": {**_NET_COMMON, "gm_models": [_GM_KEYS], "offsets": ["int"]},
 }
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 _LEAVES = {
-    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "count": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
     "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
@@ -452,8 +460,10 @@ def _check_keys(node, keys, path: str) -> None:
     if isinstance(keys, list):
         if not isinstance(node, list) or not node:
             raise DataError(f"model document field {path!r} must be a non-empty JSON list")
+        if len(keys) > 1 and len(node) != len(keys):
+            raise DataError(f"model document field {path!r} must hold {len(keys)} entries")
         for i, item in enumerate(node):
-            _check_keys(item, keys[0], f"{path}[{i}]")
+            _check_keys(item, keys[i % len(keys)], f"{path}[{i}]")
         return
     if not isinstance(node, dict):
         raise DataError(f"model document field {path!r} must be a JSON object")
@@ -466,6 +476,27 @@ def _check_keys(node, keys, path: str) -> None:
     if extra:
         where = f"{path}.{extra[0]}" if path else extra[0]
         raise DataError(f"model document has unknown key {where!r}")
+
+
+def _check_sizes(doc: dict) -> None:
+    """Sizes that tie one field of a document to another, keys already checked."""
+    if doc["kind"] == "fmarkov":
+        k = len(doc["boundaries"]) - 1
+        for key in ("fuzzy_counts", "fuzzy_probs"):
+            if len(doc[key]) != k or len(doc[key][0]) != k:
+                raise DataError(
+                    f"model document field {key!r} must be {k} x {k}, "
+                    f"one row and column per state of 'boundaries'"
+                )
+        if len(doc["degenerate_rows"]) != k:
+            raise DataError(
+                f"model document field 'degenerate_rows' must hold {k} entries, "
+                f"one per state of 'boundaries'"
+            )
+    if doc.get("variant") == "sgnn" and len(doc["offsets"]) != len(doc["gm_models"]):
+        raise DataError(
+            "model document field 'offsets' must hold one entry per entry of 'gm_models'"
+        )
 
 
 def _fmarkov_forecast(dgm_model, fm, z_last, y_last, horizon):
@@ -487,6 +518,7 @@ def model_from_doc(doc: dict) -> LoadedModel:
     if not isinstance(name, str) or name not in table:
         raise DataError(f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}")
     _check_keys(doc, table[name], "")
+    _check_sizes(doc)
     if kind == "gm":
         model = _gm_from_doc(doc)
         return LoadedModel("gm", model.n_fit, lambda h: forecast_gm11(model, h)[model.n_fit :])

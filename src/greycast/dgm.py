@@ -117,7 +117,7 @@ def simulate_dgm(beta, xi: float, n: int) -> np.ndarray:
     x0_cur = float(xi)
     for k in range(1, n):
         x1_next = b1 * x1_prev + b2 * x0_cur + b3 * k + b4
-        if not np.isfinite(x1_next) or abs(x1_next) > _OVERFLOW_LIMIT:
+        if not abs(x1_next) <= _OVERFLOW_LIMIT:  # also true for NaN
             raise RecursionOverflowError(
                 f"DGM recursion overflowed at step {k + 1} "
                 f"(|beta1| > 1 recursions are explosive over long horizons)"

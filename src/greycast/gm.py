@@ -81,7 +81,11 @@ def _ago_response(m: GmModel, total: int) -> np.ndarray:
     k = np.arange(total, dtype=float)
     if abs(m.a) < _A_EPS:
         return m.x0_first + m.u * k
-    return (m.x0_first - m.u / m.a) * np.exp(-m.a * k) + m.u / m.a
+    # An explosive doc (say a = -1e300) overflows to inf here, or to NaN
+    # when the leading factor is 0; iago's finiteness check then rejects the
+    # result with one error line, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (m.x0_first - m.u / m.a) * np.exp(-m.a * k) + m.u / m.a
 
 
 def forecast_gm11(m: GmModel, horizon: int) -> np.ndarray:

@@ -267,8 +267,58 @@ def _relation_envelopes(abs_errors: np.ndarray) -> tuple[float, float]:
     return float(abs_errors.min()), float(abs_errors.max())
 
 
+def _relation_scores(combined_abs, emin, emax, rho):
+    """Relational degree of each combined absolute error row (last axis)."""
+    return np.mean((emin + rho * emax) / (combined_abs + rho * emax), axis=-1)
+
+
 def _gamma_of_combined(combined_abs, emin, emax, rho) -> float:
-    return float(np.mean((emin + rho * emax) / (combined_abs + rho * emax)))
+    return float(_relation_scores(combined_abs, emin, emax, rho))
+
+
+def _edge_kinks(ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
+    """Weights t in [0, 1], in data order, where t*ei + (1-t)*ej has a zero."""
+    delta = ei - ej
+    movable = delta != 0.0
+    kinks = -ej[movable] / delta[movable]
+    return kinks[(kinks >= 0.0) & (kinks <= 1.0)]
+
+
+#: Candidate-by-point entries scored at once by the three-model solve, so
+#: peak memory stays flat however many arrangement vertices a series has.
+_SCORE_BLOCK = 1 << 16
+
+
+def _arrangement_vertices(errors: np.ndarray, rows: int):
+    """The simplex's vertices in the arrangement of the error lines, in blocks.
+
+    ``errors`` is (3, N).  Each point t gives the line w·e_t = 0 on the
+    2-simplex.  The vertices are the 3 corners, the zeros on each edge
+    (:func:`_edge_kinks`), and the crossings of two lines inside the
+    simplex, yielded in that order as (k, 3) weight blocks of at most
+    ``rows`` rows.  Two lines cross where w is parallel to e_s x e_t; the
+    crossing is inside when that cross product has no two entries of
+    opposite sign.  A line whose errors never take both signs meets the
+    simplex only on its boundary, where the corners and edge zeros already
+    are, so only mixed-sign lines are crossed.
+    """
+    boundary = [np.eye(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        t = _edge_kinks(errors[i], errors[j])
+        w = np.zeros((t.size, 3))
+        w[:, i] = t
+        w[:, j] = 1.0 - t
+        boundary.append(w)
+    boundary = np.concatenate(boundary)
+    for lo in range(0, len(boundary), rows):
+        yield boundary[lo : lo + rows]
+    lines = errors.T[np.any(errors > 0.0, axis=0) & np.any(errors < 0.0, axis=0)]
+    first, second = np.triu_indices(len(lines), 1)
+    for lo in range(0, first.size, rows):
+        cross = np.cross(lines[first[lo : lo + rows]], lines[second[lo : lo + rows]])
+        total = cross.sum(axis=1)
+        inside = (np.all(cross >= 0.0, axis=1) | np.all(cross <= 0.0, axis=1)) & (total != 0.0)
+        yield cross[inside] / total[inside, None]
 
 
 def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = None) -> HybridWeights:
@@ -278,9 +328,17 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
     unit vector scores exactly its own individual degree; the optimum can
     therefore never fall below the best single method.
 
-    Two models are solved exactly: the degree is evaluated at both end
-    points and at every zero of the combined error in [0, 1], where the
-    maximum must lie.  Three or more use a multi-start coordinate search.
+    Two and three models are solved exactly.  Each term of the degree,
+    c / (|w·e_t| + rho*emax), is convex on either side of the zero of its
+    combined error, so the degree is convex on every cell of the
+    arrangement of the sets w·e_t = 0 and its maximum over the simplex lies
+    at a vertex of that arrangement (a convex function on a polytope peaks
+    at an extreme point).  For two models the vertices are both end points
+    and every zero of the combined error in [0, 1]; for three they are
+    those of :func:`_arrangement_vertices`.  Every vertex is scored and the
+    first best one kept.  Four or more models use a multi-start coordinate
+    search, since the vertices grow as the (m-1)-th power of the number of
+    lines.
     """
     cfg = cfg or RelationConfig()
     y, f = _forecast_matrix(actual, forecasts)
@@ -306,26 +364,28 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
         gamma = _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
         return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma, tie=True))
 
-    def gamma_of(w: np.ndarray) -> float:
-        return _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
-
     if m == 2:
-        # gamma(w1) is a mean of c / (|e2 + w1*delta| + rho*emax).  Each term
-        # is convex on either side of the zero of its combined error, so
-        # gamma is convex between consecutive zeros and its maximum over
-        # [0, 1] lies at an end point or at one of those zeros.
         e1, e2 = errors
-        delta = e1 - e2
-        movable = delta != 0.0
-        kinks = -e2[movable] / delta[movable]
-        kinks = kinks[(kinks >= 0.0) & (kinks <= 1.0)]
-        points = np.concatenate(([0.0, 1.0], kinks))
-        combined = np.abs(e2[None, :] + points[:, None] * delta[None, :])
-        scores = np.mean((emin + rho * emax) / (combined + rho * emax), axis=1)
+        points = np.concatenate(([0.0, 1.0], _edge_kinks(e1, e2)))
+        combined = np.abs(e2[None, :] + points[:, None] * (e1 - e2)[None, :])
+        scores = _relation_scores(combined, emin, emax, rho)
         best_idx = int(np.argmax(scores))
         w1 = float(points[best_idx])
         w = np.array([w1, 1.0 - w1])
         return HybridWeights(w, SCHEME_GREY_RELATION, diag(float(scores[best_idx])))
+
+    if m == 3:
+        best_w, best_gamma = None, -np.inf
+        for block in _arrangement_vertices(errors, max(1, _SCORE_BLOCK // errors.shape[1])):
+            if len(block):
+                scores = _relation_scores(np.abs(block @ errors), emin, emax, rho)
+                idx = int(np.argmax(scores))
+                if scores[idx] > best_gamma:
+                    best_w, best_gamma = block[idx], float(scores[idx])
+        return HybridWeights(best_w, SCHEME_GREY_RELATION, diag(best_gamma))
+
+    def gamma_of(w: np.ndarray) -> float:
+        return _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
 
     rng = np.random.default_rng(0)
     starts = [np.full(m, 1.0 / m)]
@@ -345,7 +405,11 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
 
 
 def _coordinate_search(fn, start: np.ndarray, initial_step: float = 0.25):
-    """Derivative-free coordinate moves projected back onto the simplex."""
+    """Derivative-free coordinate moves projected back onto the simplex.
+
+    Used by :func:`optimize_relation_weights` for four or more models
+    only; two and three are solved exactly.
+    """
     w = project_to_simplex(np.asarray(start, dtype=float))
     best = fn(w)
     step = initial_step

@@ -393,8 +393,9 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert rc == 6
 
 
-# Model docs with a value of the wrong JSON type, an unknown key or a ragged
-# matrix: probe -> (kind fitted, path of the field, value written there).
+# Model docs with a value of the wrong JSON type or size, an unknown key, a
+# ragged matrix or an explosive model: probe -> (kind fitted, path of the
+# field, value written there); an empty path merges the value into the doc.
 _DOC_EDITS = {
     "ignn_window_string": ("ignn", ("window",), "4"),
     "ignn_n_fit_string": ("ignn", ("n_fit",), "x"),
@@ -408,6 +409,16 @@ _DOC_EDITS = {
     "gm_n_fit_fraction": ("gm", ("n_fit",), 40.5),
     "fmarkov_beta_string": ("dgm_fmarkov", ("dgm", "beta"), "abcd"),
     "ragged_fuzzy_probs": ("dgm_fmarkov", ("fuzzy_probs", 0), [1.0]),
+    "fmarkov_beta_short": ("dgm_fmarkov", ("dgm", "beta"), [0.5]),
+    "fuzzy_probs_one_state": ("dgm_fmarkov", ("fuzzy_probs",), [[1.0]]),
+    "degenerate_rows_short": ("dgm_fmarkov", ("degenerate_rows",), [False]),
+    "gm_n_fit_zero": ("gm", ("n_fit",), 0),
+    "sgnn_offsets_short": ("sgnn", ("offsets",), [0]),
+    "ignn_window_zero": ("ignn", ("window",), 0),
+    # exp overflows; the one error line must come without a numpy warning
+    "gm_a_explosive": ("gm", ("a",), -1e300),
+    # ... and where its leading factor is 0, so inf times 0 gives NaN
+    "gm_a_explosive_zero_start": ("gm", (), {"a": -1e300, "u": 0.0, "x0_first": 0.0}),
 }
 
 
@@ -426,7 +437,10 @@ def _probe_argv(tmp_path, probe):
         node = doc
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if path:
+            node[path[-1]] = value
+        else:
+            doc.update(value)
         (tmp_path / "m.json").write_text(json.dumps(doc))
         return forecast
     train = {

@@ -91,6 +91,17 @@ def test_forecast_overflow_names_step():
         simulate_dgm((1.5, 0.0, 0.0, 0.0), 1e200, 2000)
 
 
+@pytest.mark.parametrize("beta, xi, step", [
+    ((1.5, 0.0, 0.0, 0.0), 1e200, 569),  # the first step past the 1e300 limit
+    ((1.0, 0.0, 0.0, float("nan")), 1.0, 2),
+    ((1.0, 0.0, 0.0, float("inf")), 1.0, 2),
+    ((1.0, 0.0, 0.0, float("-inf")), 1.0, 2),
+])
+def test_non_finite_or_overflowing_step_is_named(beta, xi, step):
+    with pytest.raises(RecursionOverflowError, match=f"overflowed at step {step} "):
+        simulate_dgm(beta, xi, 2000)
+
+
 def test_optimal_xi_exact_fit_case():
     data = oracle_simulate(GEN_BETA, GEN_XI, 10)
     best = optimize_initial(GEN_BETA, data)

@@ -19,6 +19,7 @@ from greycast import (
     project_to_simplex,
     simplex_ls_weights,
 )
+from greycast import hybrid
 from greycast.cli.config import PipelineConfig
 from greycast.cli.models import align_fitted, fit_model
 
@@ -210,33 +211,40 @@ def test_simplex_ls_never_worse_than_best_single_model():
         assert combined_mse <= best_single + 1e-9
 
 
-def _flat_benchmark_series():
-    """The benchmark's slot-0 series recipe at seed 1, first 278 points.
+def _benchmark_series(rng, slot, shifted):
+    """The benchmark's series recipe, first 278 of 302 points.
 
-    Slot 0 has no growth and a level shift of size zero, whose position is
-    still drawn; the rest is AR(1) noise standardised over the first 278
-    and the last 24 points.
+    The level grows at the slot's rate; a level shift of the slot's size
+    at a drawn position when ``shifted``; AR(1) noise whose innovations
+    are standardised over the first 278 and the last 24 points.
     """
-    rng = np.random.default_rng(1)
     base = rng.uniform(80.0, 120.0)
-    rng.integers(302 // 5, 3 * 302 // 5)
+    level = base * np.exp((0.0, 0.0005, 0.001, 0.002, -0.0005)[slot % 5] * np.arange(302))
+    if shifted:
+        level[rng.integers(302 // 5, 3 * 302 // 5) :] += (0.0, 0.02, -0.02)[slot % 3] * base
     z = rng.standard_normal(302)
     for part in (z[:278], z[278:]):
         part -= part.mean()
         part /= part.std()
-    values = np.empty(278)
-    noise = 0.0
+    noise = np.empty(278)
+    value = 0.0
     for t in range(278):
-        noise = 0.3 * noise + 0.004 * base * z[t]
-        values[t] = base + noise
-    return values
+        value = 0.3 * value + 0.004 * base * z[t]
+        noise[t] = value
+    return level[:278] + noise
+
+
+def _benchmark_fits(values, kinds):
+    """Aligned in-sample (actual, predictions) of the kinds fitted to values."""
+    fits = [fit_model(kind, values, PipelineConfig()) for kind in kinds]
+    _, actual, predictions = align_fitted(values, fits)
+    return actual, predictions
 
 
 def test_simplex_ls_finds_the_best_support_of_three():
-    values = _flat_benchmark_series()
-    cfg = PipelineConfig()
-    fits = [fit_model(kind, values, cfg) for kind in ("dgm_fmarkov", "dgm", "gm")]
-    _, actual, predictions = align_fitted(values, fits)
+    # slot 0 has no growth and a shift of size zero, whose position is drawn
+    values = _benchmark_series(np.random.default_rng(1), 0, shifted=True)
+    actual, predictions = _benchmark_fits(values, ("dgm_fmarkov", "dgm", "gm"))
     hw = simplex_ls_weights(actual, predictions)
     # a solver that settles on the support {dgm_fmarkov} stops at SSE 42.8270
     assert hw.diagnostics["sse"] <= 42.81371
@@ -329,6 +337,103 @@ def test_relation_weights_match_grid_oracle_two_models(seed, bias):
         assert 0.0 < w1 < 1.0
         combined = np.abs(w1 * (actual - f1) + (1.0 - w1) * (actual - f2))
         assert combined.min() < 1e-12
+
+
+def test_two_model_weights_are_a_kink_bit_for_bit():
+    rng = np.random.default_rng(67)
+    actual = rng.uniform(100, 120, size=40)
+    f1 = actual + 1.0 + rng.normal(0, 1.0, size=40)
+    f2 = actual - 2.0 + rng.normal(0, 2.0, size=40)
+    hw = optimize_relation_weights(actual, [f1, f2])
+
+    e1, e2 = actual - f1, actual - f2
+    kinks = -e2 / (e1 - e2)
+    points = [0.0, 1.0, *kinks[(kinks >= 0.0) & (kinks <= 1.0)]]
+    scores = [gamma_oracle(actual, [f1, f2], [w, 1.0 - w]) for w in points]
+    w1 = points[int(np.argmax(scores))]
+    assert 0.0 < w1 < 1.0
+    assert hw.weights.tolist() == [w1, 1.0 - w1]
+
+
+def _simplex_grid(step_count):
+    """Every (i, j, k) / step_count on the 2-simplex, as rows."""
+    i, j = np.divmod(np.arange((step_count + 1) ** 2), step_count + 1)
+    keep = i + j <= step_count
+    i, j = i[keep], j[keep]
+    return np.column_stack([i, j, step_count - i - j]) / step_count
+
+
+@pytest.mark.parametrize("seed, bias", [(70, 0.0), (71, 0.0), (72, 1.0), (73, 1.0)])
+def test_relation_weights_match_grid_oracle_three_models(seed, bias):
+    rng = np.random.default_rng(seed)
+    actual = rng.uniform(100, 120, size=30)
+    forecasts = [
+        actual + bias + rng.normal(0, 1.0, size=30),
+        actual - 2.0 * bias + rng.normal(0, 2.0, size=30),
+        actual + 0.5 * bias + rng.normal(0, 1.5, size=30),
+    ]
+    hw = optimize_relation_weights(actual, forecasts)
+
+    errors = np.array([actual - f for f in forecasts])
+    emin, emax = np.abs(errors).min(), np.abs(errors).max()
+    grid_gamma = -np.inf
+    for rows in np.array_split(_simplex_grid(500), 50):  # step 2e-3
+        combined = np.abs(rows @ errors)
+        scores = np.mean((emin + 0.5 * emax) / (combined + 0.5 * emax), axis=1)
+        grid_gamma = max(grid_gamma, float(scores.max()))
+    assert hw.diagnostics["gamma"] >= grid_gamma - 1e-12
+    assert math.isclose(
+        hw.diagnostics["gamma"],
+        gamma_oracle(actual, forecasts, hw.weights),
+        rel_tol=1e-12,
+    )
+
+
+def test_relation_weights_three_models_not_below_the_coordinate_search():
+    """The exact solve against the 16-start search it replaced.
+
+    These are the first two series of the benchmark's hybrid_schemes
+    workload at seeds 1 and 503; on the last one the search stops short,
+    5.9e-8 below the best vertex.
+    """
+    series = []
+    for seed in (1, 503):
+        rng = np.random.default_rng(seed)
+        series.extend(_benchmark_series(rng, slot, shifted=False) for slot in (0, 1))
+    for values in series:
+        actual, predictions = _benchmark_fits(values, ("dgm_fmarkov", "dgm", "gm"))
+        hw = optimize_relation_weights(actual, predictions)
+
+        errors = np.array([actual - p for p in predictions])
+        emin, emax = np.abs(errors).min(), np.abs(errors).max()
+
+        def gamma_of(w):
+            return float(np.mean((emin + 0.5 * emax) / (np.abs(w @ errors) + 0.5 * emax)))
+
+        rng = np.random.default_rng(0)
+        starts = [np.full(3, 1.0 / 3.0), *np.eye(3)]
+        while len(starts) < 16:
+            starts.append(rng.dirichlet(np.ones(3)))
+        searched = max(hybrid._coordinate_search(gamma_of, start)[1] for start in starts)
+        # one-sided: the search can only stop short of the best vertex
+        assert hw.diagnostics["gamma"] >= searched - 1e-15
+
+
+def test_coordinate_search_runs_for_four_or_more_models_only(monkeypatch):
+    calls = []
+    search = hybrid._coordinate_search
+
+    def counted(fn, start):
+        calls.append(start.size)
+        return search(fn, start)
+
+    monkeypatch.setattr(hybrid, "_coordinate_search", counted)
+    rng = np.random.default_rng(74)
+    actual = rng.uniform(50, 70, size=25)
+    for m in (2, 3, 4):
+        forecasts = [actual + rng.normal(0, s, size=25) for s in np.linspace(0.5, 2.5, m)]
+        optimize_relation_weights(actual, forecasts)
+    assert set(calls) == {4}
 
 
 def test_relation_weights_not_worse_than_best_single():
