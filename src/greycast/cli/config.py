@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 from ..errors import ConfigError, DataError
 from ..hybrid import COMBINE_SCHEMES, SCHEMES
@@ -14,6 +15,23 @@ MODELS = ("gm", "dgm", "dgm_fmarkov", "ignn", "sgnn", "hybrid")
 ALPHAS = (0.01, 0.05)
 
 _TRAIN_KEYS = ("learning_rate", "epochs", "seed", "shuffle")
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``; a bool, a fraction or a
+    string is a config error."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value}")
+    return int(value)
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; a bool or a string is a config error."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -32,15 +50,17 @@ class PipelineConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        bounds = tuple(float(b) for b in self.state_boundaries)
+        if not isinstance(self.state_boundaries, (list, tuple)):
+            raise ConfigError(
+                f"state_boundaries must be a list of numbers, got {self.state_boundaries!r}"
+            )
+        bounds = tuple(_number("state_boundaries", b) for b in self.state_boundaries)
         if len(bounds) < 3 or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ConfigError(
                 "state_boundaries must be at least 3 strictly increasing reals"
             )
         self.state_boundaries = bounds
-        if int(self.window) < 1:
-            raise ConfigError(f"window must be a positive integer, got {self.window}")
-        self.window = int(self.window)
+        self.window = _integer("window", self.window, 1)
         if self.hybrid_scheme not in SCHEMES:
             raise ConfigError(
                 f"hybrid_scheme must be one of {SCHEMES}, got {self.hybrid_scheme!r}"
@@ -49,16 +69,14 @@ class PipelineConfig:
             raise ConfigError(
                 f"combine must be one of {COMBINE_SCHEMES}, got {self.combine!r}"
             )
-        if not (0.0 < float(self.rho) < 1.0):
+        self.rho = _number("rho", self.rho)
+        if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must lie strictly in (0, 1), got {self.rho}")
-        self.rho = float(self.rho)
-        if float(self.alpha) not in ALPHAS:
+        self.alpha = _number("alpha", self.alpha)
+        if self.alpha not in ALPHAS:
             raise ConfigError(f"alpha must be one of {ALPHAS}, got {self.alpha}")
-        self.alpha = float(self.alpha)
-        if int(self.horizon) < 1:
-            raise ConfigError(f"horizon must be a positive integer, got {self.horizon}")
-        self.horizon = int(self.horizon)
-        self.seed = int(self.seed)
+        self.horizon = _integer("horizon", self.horizon, 1)
+        self.seed = _integer("seed", self.seed, 0)
 
     def echo(self) -> dict:
         """Serializable snapshot for report files."""
@@ -85,14 +103,17 @@ def _build_train(raw: dict, default_seed: int) -> TrainConfig:
     unknown = set(raw) - set(_TRAIN_KEYS)
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+    shuffle = raw.get("shuffle", True)
+    if not isinstance(shuffle, bool):
+        raise ConfigError(f"train.shuffle must be true or false, got {shuffle!r}")
     try:
         return TrainConfig(
-            learning_rate=float(raw.get("learning_rate", 0.05)),
-            epochs=int(raw.get("epochs", 2000)),
-            seed=int(raw.get("seed", default_seed)),
-            shuffle=bool(raw.get("shuffle", True)),
+            learning_rate=_number("train.learning_rate", raw.get("learning_rate", 0.05)),
+            epochs=_integer("train.epochs", raw.get("epochs", 2000), 0),
+            seed=_integer("train.seed", raw.get("seed", default_seed), 0),
+            shuffle=shuffle,
         )
-    except (TypeError, ValueError, DataError) as exc:
+    except DataError as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc
 
 
@@ -122,7 +143,7 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
     train_raw = merged.pop("train", {})
     if not isinstance(train_raw, dict):
         raise ConfigError("train config must be a JSON object")
-    seed = int(merged.get("seed", 0))
+    seed = _integer("seed", merged.get("seed", 0), 0)
     try:
         return PipelineConfig(train=_build_train(train_raw, seed), **merged)
     except TypeError as exc:

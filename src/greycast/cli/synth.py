@@ -29,6 +29,10 @@ def synthetic_series(
     """
     if n < 2:
         raise ConfigError(f"synthetic series length must be at least 2, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if not np.all(np.isfinite([base, trend, noise, shift_scale])):
+        raise ConfigError("base, trend, noise and shift scale must be finite")
     if not (0.0 <= ar < 1.0):
         raise ConfigError(f"ar coefficient must lie in [0, 1), got {ar}")
     rng = np.random.default_rng(seed)

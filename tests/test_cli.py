@@ -422,6 +422,27 @@ _DOC_EDITS = {
 }
 
 
+# Config files with a bad value: probe -> config written.  A value of the
+# wrong type must not be converted: "false" is not false, and 2.5 epochs is
+# not 2.
+_CONFIGS = {
+    "negative_learning_rate": {"train": {"learning_rate": -1}},
+    "zero_learning_rate": {"train": {"learning_rate": 0}},
+    "negative_epochs": {"train": {"epochs": -3}},
+    "fractional_epochs": {"train": {"epochs": 2.5}},
+    "shuffle_string": {"train": {"shuffle": "false"}},
+    "window_string": {"window": "abc"},
+    "seed_string": {"seed": "x"},
+    "seed_null": {"seed": None},
+    "seed_negative": {"seed": -1},
+    "train_seed_negative": {"train": {"seed": -5}},
+    "rho_string": {"rho": "x"},
+    "alpha_string": {"alpha": "x"},
+    "horizon_string": {"horizon": "x"},
+    "boundaries_string": {"state_boundaries": "abc"},
+}
+
+
 def _probe_argv(tmp_path, probe):
     """Write the probe's input files; return the greycast argv to run."""
     data = tmp_path / "s.csv"
@@ -443,14 +464,9 @@ def _probe_argv(tmp_path, probe):
             doc.update(value)
         (tmp_path / "m.json").write_text(json.dumps(doc))
         return forecast
-    train = {
-        "negative_learning_rate": {"learning_rate": -1},
-        "zero_learning_rate": {"learning_rate": 0},
-        "negative_epochs": {"epochs": -3},
-    }
-    if probe in train:
+    if probe in _CONFIGS:
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"train": train[probe]}))
+        config.write_text(json.dumps(_CONFIGS[probe]))
         return fit + ["--config", str(config)]
     if probe == "model_missing_key":
         assert main(fit) == 0
@@ -467,20 +483,24 @@ def _probe_argv(tmp_path, probe):
         return ["report", "--input", str(tmp_path)]
     if probe == "config_is_directory":
         return fit + ["--config", str(tmp_path)]
+    if probe == "synth_seed_negative":
+        return ["synth", "--n", "10", "--seed", "-3", "--out", str(tmp_path / "x.csv")]
+    if probe == "synth_noise_nan":  # would write a CSV of nulls and exit 0
+        return ["synth", "--n", "10", "--noise", "nan", "--out", str(tmp_path / "x.csv")]
     assert probe == "unwritable_output"
     return fit[:-1] + [str(tmp_path / "no_such_dir" / "m.json")]
 
 
 @pytest.mark.parametrize("probe, code", [
-    ("negative_learning_rate", 2),
-    ("zero_learning_rate", 2),
-    ("negative_epochs", 2),
+    *((probe, 2) for probe in _CONFIGS),
     ("model_missing_key", 5),
     ("report_not_an_object", 5),
     ("unwritable_output", 2),
     ("input_is_directory", 3),
     ("report_input_is_directory", 3),
     ("config_is_directory", 2),
+    ("synth_seed_negative", 2),
+    ("synth_noise_nan", 2),
     *((probe, 5) for probe in _DOC_EDITS),
 ])
 def test_exit_code_probes(tmp_path, capsys, probe, code):

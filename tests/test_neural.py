@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +223,26 @@ def test_lockstep_training_matches_training_alone(sizes):
     for net, samples, got in zip(nets, sample_sets, together):
         assert_same_net(got, train_bp(net, samples, cfg))
         assert len(got.loss_history) == cfg.epochs + 1
+
+
+@pytest.mark.parametrize("sizes", [(3, 4, 1), (2, 3, 2, 1)])
+def test_lockstep_training_matches_pinned_numbers(sizes):
+    # The lockstep tests compare the loop with itself, so a change to the
+    # arithmetic of both sides would pass them; this pins the loop to
+    # recorded numbers (shuffled, two nets of 3 and 5 samples, 4 epochs).
+    # np.exp may differ in the last bit between CPUs, hence a tolerance
+    # rather than bit equality.
+    pinned = json.loads(Path(__file__).with_name("pinned_training.json").read_text())
+    rng = np.random.default_rng(51)
+    nets = [init_net(sizes, seed=seed) for seed in (1, 2)]
+    sample_sets = [random_samples(rng, count, sizes) for count in (3, 5)]
+    cfg = TrainConfig(learning_rate=0.4, epochs=4, seed=7, shuffle=True)
+    trained = train_bp_batch(nets, sample_sets, cfg)
+    for got, want in zip(trained, pinned["-".join(map(str, sizes))], strict=True):
+        for key in ("weights", "biases"):
+            for array, expected in zip(getattr(got, key), want[key], strict=True):
+                np.testing.assert_allclose(array, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.loss_history, want["loss_history"], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("sizes", [(4, 4, 1), (3, 5, 2, 1)])
