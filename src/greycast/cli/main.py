@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -271,39 +272,76 @@ def cmd_backtest(args) -> int:
     return 0
 
 
+def _report_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"report field {name} must be a JSON object, not a {type(value).__name__}")
+    return value
+
+
+def _report_field(node: dict, key: str, name: str):
+    if key not in node:
+        raise DataError(f"report field {name}.{key} is missing")
+    return node[key]
+
+
+def _report_number(node: dict, key: str, name: str):
+    """A number of a report; null, written for a non-finite value, reads as NaN."""
+    value = _report_field(node, key, name)
+    if value is None:
+        return math.nan
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"report field {name}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _metrics_line(label: str, metrics, name: str) -> str:
+    metrics = _report_object(metrics, name)
+    mse, mae, mape, theil = (_report_number(metrics, key, name) for key in ("mse", "mae", "mape", "theil"))
+    return f"  {label}: mse={mse:.6g} mae={mae:.6g} mape={mape:.4f}% theil={theil:.6g}"
+
+
+def _top_or_evaluation(doc: dict, key: str):
+    """``doc[key]`` (a backtest report) or else ``doc["evaluation"][key]``
+    (a hybrid report), with the field's name."""
+    if doc.get(key):
+        return doc[key], key
+    evaluation = _report_object(doc.get("evaluation", {}), "evaluation")
+    return evaluation.get(key), f"evaluation.{key}"
+
+
 def cmd_report(args) -> int:
+    """Print a summary of a report; a field of the wrong type or a missing
+    one is a data error that names it, and nothing is printed."""
     doc = _load_json_doc(args.input)
-    command = doc.get("command", "?")
-    print(f"report for command: {command}")
-    config = doc.get("config", {})
+    lines = [f"report for command: {doc.get('command', '?')}"]
+    config = _report_object(doc.get("config", {}), "config")
     if config:
-        print(
+        lines.append(
             f"  config: model={config.get('model')} scheme={config.get('hybrid_scheme')} "
             f"combine={config.get('combine')} horizon={config.get('horizon')} "
             f"seed={config.get('seed')}"
         )
-    models = doc.get("models") or doc.get("evaluation", {}).get("models", {})
-    for name, metrics in models.items():
-        print(
-            f"  {name}: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g} "
-            f"mape={metrics['mape']:.4f}% theil={metrics['theil']:.6g}"
-        )
-    hybrid = doc.get("hybrid") or doc.get("evaluation", {}).get("hybrid")
+    models, name = _top_or_evaluation(doc, "models")
+    for label, metrics in _report_object(models or {}, name).items():
+        lines.append(_metrics_line(label, metrics, f"{name}.{label}"))
+    hybrid, name = _top_or_evaluation(doc, "hybrid")
     if hybrid:
-        metrics = hybrid.get("metrics", hybrid)
-        print(
-            f"  hybrid: mse={metrics['mse']:.6g} mae={metrics['mae']:.6g} "
-            f"mape={metrics['mape']:.4f}% theil={metrics['theil']:.6g}"
-        )
+        if "metrics" in _report_object(hybrid, name):
+            hybrid, name = hybrid["metrics"], f"{name}.metrics"
+        lines.append(_metrics_line("hybrid", hybrid, name))
     weights = doc.get("weights")
     if weights:
-        print(f"  weights ({weights.get('scheme')}): {weights.get('values')}")
+        weights = _report_object(weights, "weights")
+        lines.append(f"  weights ({weights.get('scheme')}): {weights.get('values')}")
     markov = doc.get("markov_test")
     if markov:
-        print(
-            f"  markov: chi-squared={markov['chi_squared']:.4f} dof={markov['dof']} "
-            f"threshold={markov['threshold']:g} verdict={markov['verdict']}"
+        markov = _report_object(markov, "markov_test")
+        chi2, threshold = (_report_number(markov, key, "markov_test") for key in ("chi_squared", "threshold"))
+        dof, verdict = (_report_field(markov, key, "markov_test") for key in ("dof", "verdict"))
+        lines.append(
+            f"  markov: chi-squared={chi2:.4f} dof={dof} threshold={threshold:g} verdict={verdict}"
         )
+    print("\n".join(lines))
     return 0
 
 

@@ -162,6 +162,12 @@ def _forecast_matrix(actual, forecasts) -> tuple[np.ndarray, np.ndarray]:
     return y, np.column_stack(columns)
 
 
+def _identical_forecasts(f: np.ndarray) -> bool:
+    """Whether every column of ``f`` equals the first, up to rounding."""
+    spread = np.max(np.abs(f - f[:, [0]]))
+    return spread <= 1e-12 * max(1.0, float(np.max(np.abs(f))))
+
+
 def simplex_ls_weights(actual, forecasts) -> HybridWeights:
     """Least-squares weights on the simplex, solved exactly.
 
@@ -179,8 +185,7 @@ def simplex_ls_weights(actual, forecasts) -> HybridWeights:
     """
     y, f = _forecast_matrix(actual, forecasts)
     p = f.shape[1]
-    spread = np.max(np.abs(f - f[:, [0]]))
-    if spread <= 1e-12 * max(1.0, float(np.max(np.abs(f)))):
+    if _identical_forecasts(f):
         w = np.full(p, 1.0 / p)
         sse = float(np.sum((y - f @ w) ** 2))
         return HybridWeights(
@@ -259,21 +264,12 @@ def grey_relation_degree(actual, predicted, peer_errors=None, cfg: RelationConfi
     emax = max(float(p.max()) for p in pools)
     if emax == 0.0:
         return 1.0
-    coeff = (emin + cfg.rho * emax) / (own + cfg.rho * emax)
-    return float(coeff.mean())
-
-
-def _relation_envelopes(abs_errors: np.ndarray) -> tuple[float, float]:
-    return float(abs_errors.min()), float(abs_errors.max())
+    return float(_relation_scores(own, emin, emax, cfg.rho))
 
 
 def _relation_scores(combined_abs, emin, emax, rho):
     """Relational degree of each combined absolute error row (last axis)."""
     return np.mean((emin + rho * emax) / (combined_abs + rho * emax), axis=-1)
-
-
-def _gamma_of_combined(combined_abs, emin, emax, rho) -> float:
-    return float(_relation_scores(combined_abs, emin, emax, rho))
 
 
 def _edge_kinks(ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
@@ -284,34 +280,38 @@ def _edge_kinks(ei: np.ndarray, ej: np.ndarray) -> np.ndarray:
     return kinks[(kinks >= 0.0) & (kinks <= 1.0)]
 
 
-#: Candidate-by-point entries scored at once by the three-model solve, so
+#: Candidate-by-point entries scored at once by the exact solve, so
 #: peak memory stays flat however many arrangement vertices a series has.
 _SCORE_BLOCK = 1 << 16
 
 
 def _arrangement_vertices(errors: np.ndarray, rows: int):
-    """The simplex's vertices in the arrangement of the error lines, in blocks.
+    """The simplex's vertices in the arrangement of the error sets, in blocks.
 
-    ``errors`` is (3, N).  Each point t gives the line w·e_t = 0 on the
-    2-simplex.  The vertices are the 3 corners, the zeros on each edge
-    (:func:`_edge_kinks`), and the crossings of two lines inside the
-    simplex, yielded in that order as (k, 3) weight blocks of at most
-    ``rows`` rows.  Two lines cross where w is parallel to e_s x e_t; the
-    crossing is inside when that cross product has no two entries of
-    opposite sign.  A line whose errors never take both signs meets the
-    simplex only on its boundary, where the corners and edge zeros already
-    are, so only mixed-sign lines are crossed.
+    ``errors`` is (m, N) for m of 2 or 3.  Each point t gives the set
+    w·e_t = 0 on the simplex: a point of the segment for two models, a line
+    of the triangle for three.  The vertices are the m corners, the zeros
+    on each edge (:func:`_edge_kinks`), and for three models the crossings
+    of two lines inside the simplex, yielded in that order as (k, m) weight
+    blocks of at most ``rows`` rows.  Two lines cross where w is parallel
+    to e_s x e_t; the crossing is inside when that cross product has no two
+    entries of opposite sign.  A line whose errors never take both signs
+    meets the simplex only on its boundary, where the corners and edge
+    zeros already are, so only mixed-sign lines are crossed.
     """
-    boundary = [np.eye(3)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    m = len(errors)
+    boundary = [np.eye(m)]
+    for i, j in itertools.combinations(range(m), 2):
         t = _edge_kinks(errors[i], errors[j])
-        w = np.zeros((t.size, 3))
+        w = np.zeros((t.size, m))
         w[:, i] = t
         w[:, j] = 1.0 - t
         boundary.append(w)
     boundary = np.concatenate(boundary)
     for lo in range(0, len(boundary), rows):
         yield boundary[lo : lo + rows]
+    if m < 3:
+        return
     lines = errors.T[np.any(errors > 0.0, axis=0) & np.any(errors < 0.0, axis=0)]
     first, second = np.triu_indices(len(lines), 1)
     for lo in range(0, first.size, rows):
@@ -328,28 +328,30 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
     unit vector scores exactly its own individual degree; the optimum can
     therefore never fall below the best single method.
 
-    Two and three models are solved exactly.  Each term of the degree,
-    c / (|w·e_t| + rho*emax), is convex on either side of the zero of its
-    combined error, so the degree is convex on every cell of the
-    arrangement of the sets w·e_t = 0 and its maximum over the simplex lies
-    at a vertex of that arrangement (a convex function on a polytope peaks
-    at an extreme point).  For two models the vertices are both end points
-    and every zero of the combined error in [0, 1]; for three they are
-    those of :func:`_arrangement_vertices`.  Every vertex is scored and the
-    first best one kept.  Four or more models use a multi-start coordinate
-    search, since the vertices grow as the (m-1)-th power of the number of
-    lines.
+    Two and three models are solved exactly, by one search.  Each term of
+    the degree, c / (|w·e_t| + rho*emax), is convex on either side of the
+    zero of its combined error, so the degree is convex on every cell of
+    the arrangement of the sets w·e_t = 0 and its maximum over the simplex
+    lies at a vertex of that arrangement (a convex function on a polytope
+    peaks at an extreme point).  Those vertices are the corners, every zero
+    of the combined error on an edge, and, for three models, the crossings
+    inside the triangle (:func:`_arrangement_vertices`).  Every vertex is
+    scored in that order and the first best one kept, so of two single
+    models with equal degree the first wins.  Four or more models use a
+    multi-start coordinate search, since the vertices grow as the (m-1)-th
+    power of the number of lines.
+
+    Identical forecasts, or forecasts that are all exact, get the uniform
+    weights with ``tie`` set in the diagnostics.
     """
     cfg = cfg or RelationConfig()
     y, f = _forecast_matrix(actual, forecasts)
     m = f.shape[1]
     errors = y[None, :] - f.T  # (m, N) signed errors
     abs_errors = np.abs(errors)
-    emin, emax = _relation_envelopes(abs_errors)
+    emin, emax = float(abs_errors.min()), float(abs_errors.max())
     rho = cfg.rho
-    individual = [
-        _gamma_of_combined(abs_errors[j], emin, emax, rho) for j in range(m)
-    ]
+    individual = [float(_relation_scores(e, emin, emax, rho)) for e in abs_errors]
 
     def diag(gamma: float, tie: bool = False) -> dict:
         return {"gamma": gamma, "gamma_individual": individual, "tie": tie}
@@ -358,23 +360,14 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
         w = np.full(m, 1.0 / m)
         return HybridWeights(w, SCHEME_GREY_RELATION, diag(1.0, tie=True))
 
-    spread = np.max(np.abs(f - f[:, [0]]))
-    if spread <= 1e-12 * max(1.0, float(np.max(np.abs(f)))):
+    def gamma_of(w: np.ndarray) -> float:
+        return float(_relation_scores(np.abs(w @ errors), emin, emax, rho))
+
+    if _identical_forecasts(f):
         w = np.full(m, 1.0 / m)
-        gamma = _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
-        return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma, tie=True))
+        return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma_of(w), tie=True))
 
-    if m == 2:
-        e1, e2 = errors
-        points = np.concatenate(([0.0, 1.0], _edge_kinks(e1, e2)))
-        combined = np.abs(e2[None, :] + points[:, None] * (e1 - e2)[None, :])
-        scores = _relation_scores(combined, emin, emax, rho)
-        best_idx = int(np.argmax(scores))
-        w1 = float(points[best_idx])
-        w = np.array([w1, 1.0 - w1])
-        return HybridWeights(w, SCHEME_GREY_RELATION, diag(float(scores[best_idx])))
-
-    if m == 3:
+    if m <= 3:
         best_w, best_gamma = None, -np.inf
         for block in _arrangement_vertices(errors, max(1, _SCORE_BLOCK // errors.shape[1])):
             if len(block):
@@ -383,9 +376,6 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
                 if scores[idx] > best_gamma:
                     best_w, best_gamma = block[idx], float(scores[idx])
         return HybridWeights(best_w, SCHEME_GREY_RELATION, diag(best_gamma))
-
-    def gamma_of(w: np.ndarray) -> float:
-        return _gamma_of_combined(np.abs(w @ errors), emin, emax, rho)
 
     rng = np.random.default_rng(0)
     starts = [np.full(m, 1.0 / m)]

@@ -235,10 +235,10 @@ def _activations(net: FeedforwardNet, rows) -> _Columns:
     return cols
 
 
-def _sq_total(errors) -> float:
-    """Squared error summed over (samples, outputs): a running total in sample
-    order, as a per-sample loop adds it."""
-    return float(np.cumsum(np.square(errors).sum(axis=-1))[-1])
+def _sq_total(errors, start: float = 0.0) -> float:
+    """Squared error summed over (samples, outputs) onto ``start``: a running
+    total in sample order, as a per-sample loop adds it."""
+    return float(np.cumsum(np.append(start, np.square(errors).sum(axis=-1)))[-1])
 
 
 def forward(net: FeedforwardNet, x) -> np.ndarray:
@@ -298,6 +298,12 @@ def _as_sample_arrays(samples, sizes):
     return inputs, targets
 
 
+#: Steps of an epoch recorded once and replayed over each window of that many
+#: steps, so the record and the step-major buffers stay this size however
+#: many samples a net has.
+_BLOCK_STEPS = 512
+
+
 def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[FeedforwardNet]:
     """Train independent nets of one shape in lockstep, each on its own samples.
 
@@ -313,11 +319,14 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
 
     Every weight and bias lives in one flat buffer and every step in a
     second of the same layout, so one subtraction moves them all.  The
-    epoch's numpy calls (:func:`_forward`, :func:`_backward`, the update)
-    are recorded once over step-major buffers of samples, targets, errors
-    and rates; each epoch refills those buffers in place with its shuffled
-    samples and replays the calls.  The record holds about 18 calls per
-    step for a 4-4-1 net, about 2.5 kB a step.
+    numpy calls of a block of steps (:func:`_forward`, :func:`_backward`,
+    the update) are recorded once over step-major buffers of samples,
+    targets, errors and rates that hold one block.  Each epoch refills
+    those buffers in place with each successive window of its shuffled
+    samples and replays the calls, a last partial window only its own
+    steps.  The record holds about 18 calls per step for a 4-4-1 net,
+    about 2.5 kB a step, so at most :data:`_BLOCK_STEPS` steps of it are
+    kept whatever the number of samples.
     """
     cfg = cfg or TrainConfig()
     nets = list(nets)
@@ -340,18 +349,14 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
     params, weights, biases = _stack(nets)
     # steps[l] and scaled[l] are the steps for weights[l] and biases[l].
     step_buffer, steps, scaled = _blocks(sizes, len(nets))
-    # Per epoch, step-major copies of every net's shuffled samples; the
-    # steps past a net's sample count keep its first sample.
-    xs = np.empty((width, len(nets), sizes[0], 1))
-    targets = np.empty((width, len(nets), sizes[-1], 1))
-    # rates[l][t] is every net's learning rate at step t, in the shape of
-    # layer l's output (a broadcast multiply costs twice a plain one).
-    rates = [np.zeros((width, len(nets), s, 1)) for s in sizes[1:]]
-    for b, ((inputs, outputs), n) in enumerate(zip(data, counts)):
-        xs[:, b, :, 0] = inputs[0]
-        targets[:, b, :, 0] = outputs[0]
-        for rate in rates:
-            rate[:n, b] = cfg.learning_rate
+    block = min(width, _BLOCK_STEPS)
+    # Step-major copies of one window of every net's shuffled samples.
+    xs = np.empty((block, len(nets), sizes[0], 1))
+    targets = np.empty((block, len(nets), sizes[-1], 1))
+    # rates[l][t] is every net's learning rate at step t of the window, in
+    # the shape of layer l's output (a broadcast multiply costs twice a
+    # plain one).
+    rates = [np.empty((block, len(nets), s, 1)) for s in sizes[1:]]
     errors = np.empty_like(targets)  # output minus target at each step
     cols = _Columns(sizes, len(nets))
     calls = []
@@ -363,19 +368,36 @@ def train_bp_batch(nets, sample_sets, cfg: TrainConfig | None = None) -> list[Fe
         record(np.subtract, _forward(weights, biases, x, cols, record), target, error)
         _backward(weights, x, cols, error, rate, scaled, steps, record)
         record(np.subtract, params, step_buffer, params)
+    calls_per_step = len(calls) // block
     rngs = [np.random.default_rng(cfg.seed) for _ in nets]
     # Divergence shows up as non-finite loss, which is detected and raised;
     # the intermediate overflow warnings carry no extra information.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            for b, (rng, (inputs, outputs), n) in enumerate(zip(rngs, data, counts)):
-                order = rng.permutation(n) if cfg.shuffle else np.arange(n)
-                xs[:n, b, :, 0] = inputs[order]
-                targets[:n, b, :, 0] = outputs[order]
-            for f, args in calls:
-                f(*args)
-            for b, (history, n) in enumerate(zip(histories, counts)):
-                epoch_loss = _sq_total(errors[:n, b, :, 0]) / n
+            # A net whose samples ran out takes its steps on its first
+            # sample (index 0) with a learning rate of zero.
+            orders = [
+                np.append(rng.permutation(n) if cfg.shuffle else np.arange(n),
+                          np.zeros(width - n, dtype=int))
+                for rng, n in zip(rngs, counts)
+            ]
+            totals = [0.0] * len(nets)
+            for lo in range(0, width, block):
+                k = min(block, width - lo)
+                lives = [min(k, max(0, n - lo)) for n in counts]  # steps on own samples
+                for b, ((inputs, outputs), order, live) in enumerate(zip(data, orders, lives)):
+                    window = order[lo : lo + k]
+                    xs[:k, b, :, 0] = inputs[window]
+                    targets[:k, b, :, 0] = outputs[window]
+                    for rate in rates:
+                        rate[:live, b] = cfg.learning_rate
+                        rate[live:k, b] = 0.0
+                for f, args in calls[: k * calls_per_step]:
+                    f(*args)
+                totals = [_sq_total(errors[:live, b, :, 0], total)
+                          for b, (live, total) in enumerate(zip(lives, totals))]
+            for history, total, n in zip(histories, totals, counts):
+                epoch_loss = total / n
                 if not np.isfinite(epoch_loss):
                     raise DivergenceError(
                         "training loss is not finite; try a smaller learning rate"

@@ -339,6 +339,15 @@ def test_report_command_prints_summary(tmp_path, hybrid_setup, capsys):
     assert "dgm_fmarkov" in out and "hybrid" in out and "markov" in out
 
 
+def test_report_prints_a_null_metric_as_nan(tmp_path, capsys):
+    # dump_json writes a non-finite metric, such as MAPE with a zero actual, as null
+    report = tmp_path / "r.json"
+    metrics = {"mse": 1.0, "mae": 1.0, "mape": None, "theil": 0.5}
+    report.write_text(json.dumps({"command": "hybrid", "evaluation": {"models": {"gm": metrics}}}))
+    assert main(["report", "--input", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  gm: mse=1 mae=1 mape=nan% theil=0.5"
+
+
 # ---------------------------------------------------------------------------
 # exit codes and config handling
 # ---------------------------------------------------------------------------
@@ -443,6 +452,16 @@ _CONFIGS = {
 }
 
 
+# Inputs to report: probe -> (document written, or None for the model doc
+# that fit --model hybrid writes; the field the error line names).
+_REPORTS = {
+    "report_not_an_object": ([1, 2], None),
+    "report_hybrid_model_doc": (None, "weights"),  # its weights are a list
+    "report_metrics_not_an_object": ({"command": "hybrid", "models": {"a": 1}}, "models.a"),
+    "report_chi_squared_string": ({"markov_test": {"chi_squared": "x"}}, "markov_test.chi_squared"),
+}
+
+
 def _probe_argv(tmp_path, probe):
     """Write the probe's input files; return the greycast argv to run."""
     data = tmp_path / "s.csv"
@@ -474,9 +493,17 @@ def _probe_argv(tmp_path, probe):
         del doc["a"]
         (tmp_path / "m.json").write_text(json.dumps(doc))
         return forecast
-    if probe == "report_not_an_object":
-        (tmp_path / "r.json").write_text("[1, 2]")
-        return ["report", "--input", str(tmp_path / "r.json")]
+    if probe in _REPORTS:
+        doc = _REPORTS[probe][0]
+        report = tmp_path / "r.json"
+        if doc is None:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"train": {"epochs": 2}}))
+            assert main(["fit", "--model", "hybrid", *fit[3:], "--config", str(config)]) == 0
+            report = tmp_path / "m.json"
+        else:
+            report.write_text(json.dumps(doc))
+        return ["report", "--input", str(report)]
     if probe == "input_is_directory":
         return ["fit", "--model", "gm", "--input", str(tmp_path), "--out", str(tmp_path / "m.json")]
     if probe == "report_input_is_directory":
@@ -494,7 +521,7 @@ def _probe_argv(tmp_path, probe):
 @pytest.mark.parametrize("probe, code", [
     *((probe, 2) for probe in _CONFIGS),
     ("model_missing_key", 5),
-    ("report_not_an_object", 5),
+    *((probe, 5) for probe in _REPORTS),
     ("unwritable_output", 2),
     ("input_is_directory", 3),
     ("report_input_is_directory", 3),
@@ -513,6 +540,8 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
         assert "'a'" in err
     if probe.endswith("is_directory"):
         assert "cannot read " in err
+    if _REPORTS.get(probe, (None, None))[1]:
+        assert f"report field {_REPORTS[probe][1]} " in err, err
 
 
 @pytest.mark.parametrize("kind, path", [

@@ -281,6 +281,20 @@ def test_relation_degree_hand_case():
     assert math.isclose(g2, 0.625, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("peers", [0, 1, 3])
+def test_relation_degree_matches_the_formula(peers):
+    rng = np.random.default_rng(75 + peers)
+    actual = rng.uniform(50, 70, size=23)
+    predicted = actual + rng.normal(0, 1.0, size=23)
+    peer_errors = [rng.normal(0, 2.0, size=23) for _ in range(peers)]
+    own = np.abs(actual - predicted)
+    pooled = np.concatenate([own, *np.abs(peer_errors)]) if peers else own
+    emin, emax, rho = pooled.min(), pooled.max(), 0.3
+    expected = float(((emin + rho * emax) / (own + rho * emax)).mean())
+    got = grey_relation_degree(actual, predicted, peer_errors or None, RelationConfig(rho))
+    assert got == expected
+
+
 def test_relation_config_validation():
     with pytest.raises(ConfigError):
         RelationConfig(rho=0.0)
@@ -353,6 +367,50 @@ def test_two_model_weights_are_a_kink_bit_for_bit():
     w1 = points[int(np.argmax(scores))]
     assert 0.0 < w1 < 1.0
     assert hw.weights.tolist() == [w1, 1.0 - w1]
+
+
+def _two_model_kink_scan(actual, forecasts, rho=0.5):
+    """The two-model solve as a separate path scored it: w1 at 0, at 1 and
+    at every zero of the combined error, the first best kept."""
+    e1, e2 = (np.asarray(actual) - np.asarray(f) for f in forecasts)
+    abs_errors = np.abs([e1, e2])
+    emin, emax = float(abs_errors.min()), float(abs_errors.max())
+    delta = e1 - e2
+    kinks = -e2[delta != 0.0] / delta[delta != 0.0]
+    points = np.concatenate(([0.0, 1.0], kinks[(kinks >= 0.0) & (kinks <= 1.0)]))
+    combined = np.abs(e2[None, :] + points[:, None] * delta[None, :])
+    scores = np.mean((emin + rho * emax) / (combined + rho * emax), axis=-1)
+    best = int(np.argmax(scores))
+    return [float(points[best]), 1.0 - float(points[best])], float(scores[best])
+
+
+@pytest.mark.parametrize("seed", range(80, 110))
+def test_two_model_weights_match_the_kink_scan(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    actual = 100.0 + rng.normal(0, 5.0, size=n).cumsum()
+    forecasts = [actual + rng.normal(rng.normal(0, 2.0), rng.uniform(0.5, 4.0), size=n)
+                 for _ in range(2)]
+    hw = optimize_relation_weights(actual, forecasts)
+    weights, gamma = _two_model_kink_scan(actual, forecasts)
+    assert hw.weights.tolist() == weights
+    # the vertex search forms the combined error as w @ errors, so its
+    # rounding may differ from the scan's in the last digit
+    assert math.isclose(hw.diagnostics["gamma"], gamma, rel_tol=1e-15)
+
+
+def test_equal_single_models_tie_to_the_first():
+    actual = np.array([10.0, 10.0])
+    f1 = actual - np.array([1.0, 2.0])
+    f2 = actual - np.array([2.0, 1.0])  # the same errors in the other order
+    # the combined error has no zero on the edge, and the corners score best
+    hw = optimize_relation_weights(actual, [f1, f2])
+    g1, g2 = hw.diagnostics["gamma_individual"]
+    assert g1 == g2 and math.isclose(g1, 5.0 / 6.0, rel_tol=1e-15)
+    assert hw.weights.tolist() == [1.0, 0.0]
+    assert hw.diagnostics["gamma"] == g1
+    # the separate two-model scan tried w1 = 0, model 2 alone, first
+    assert _two_model_kink_scan(actual, [f1, f2])[0] == [0.0, 1.0]
 
 
 def _simplex_grid(step_count):

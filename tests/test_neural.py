@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from greycast import (
     train_bp,
     train_bp_batch,
 )
+from greycast import neural
 
 
 def oracle_forward(net, x):
@@ -232,17 +234,49 @@ def test_lockstep_training_matches_pinned_numbers(sizes):
     # recorded numbers (shuffled, two nets of 3 and 5 samples, 4 epochs).
     # np.exp may differ in the last bit between CPUs, hence a tolerance
     # rather than bit equality.
-    pinned = json.loads(Path(__file__).with_name("pinned_training.json").read_text())
     rng = np.random.default_rng(51)
     nets = [init_net(sizes, seed=seed) for seed in (1, 2)]
     sample_sets = [random_samples(rng, count, sizes) for count in (3, 5)]
     cfg = TrainConfig(learning_rate=0.4, epochs=4, seed=7, shuffle=True)
-    trained = train_bp_batch(nets, sample_sets, cfg)
-    for got, want in zip(trained, pinned["-".join(map(str, sizes))], strict=True):
-        for key in ("weights", "biases"):
-            for array, expected in zip(getattr(got, key), want[key], strict=True):
+    assert_matches_pinned(train_bp_batch(nets, sample_sets, cfg), "-".join(map(str, sizes)))
+
+
+def assert_matches_pinned(trained, key):
+    pinned = json.loads(Path(__file__).with_name("pinned_training.json").read_text())
+    for got, want in zip(trained, pinned[key], strict=True):
+        for field in ("weights", "biases"):
+            for array, expected in zip(getattr(got, field), want[field], strict=True):
                 np.testing.assert_allclose(array, expected, rtol=1e-12, atol=0)
         np.testing.assert_allclose(got.loss_history, want["loss_history"], rtol=1e-12, atol=0)
+
+
+def test_training_longer_than_one_block_matches_pinned_numbers():
+    # The nets' samples run out in the first, second and third replayed
+    # window of steps, the last of which is partial; the numbers were
+    # recorded by a loop that kept every step of an epoch.
+    counts = (300, 1100, 700)
+    assert counts[0] < neural._BLOCK_STEPS < counts[2] < 2 * neural._BLOCK_STEPS < counts[1]
+    rng = np.random.default_rng(52)
+    nets = [init_net((4, 4, 1), seed=seed) for seed in (3, 4, 5)]
+    sample_sets = [random_samples(rng, count, (4, 4, 1)) for count in counts]
+    cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=7, shuffle=True)
+    assert_matches_pinned(train_bp_batch(nets, sample_sets, cfg), "4-4-1-long")
+
+
+def test_training_memory_does_not_grow_with_the_samples():
+    # Each recorded step holds about 2.5 kB; recording all 20 000 steps of
+    # an epoch would add about 50 MB.  The samples themselves, the epoch-0
+    # loss pass and one block of steps stay within 6 MB.
+    rng = np.random.default_rng(53)
+    samples = list(zip(rng.uniform(0.1, 0.9, (20_000, 4)), rng.uniform(0.1, 0.9, (20_000, 1))))
+    net = init_net((4, 4, 1), seed=1)
+    tracemalloc.start()
+    try:
+        train_bp(net, samples, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 @pytest.mark.parametrize("sizes", [(4, 4, 1), (3, 5, 2, 1)])
