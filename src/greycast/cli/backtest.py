@@ -8,7 +8,7 @@ is fitted to all folds in one call, so the folds' networks train together.
 from __future__ import annotations
 
 
-from ..errors import InsufficientDataError
+from ..errors import ConfigError, InsufficientDataError
 from ..hybrid import combine_forecasts
 from ..series import as_values
 from .config import PipelineConfig
@@ -35,7 +35,7 @@ def run_backtest(
     n = values.size
     h = cfg.horizon
     if folds < 1:
-        raise InsufficientDataError(f"fold count must be at least 1, got {folds}")
+        raise ConfigError(f"fold count must be at least 1, got {folds}")
     first_origin = n - folds * h
     min_train = max(10, cfg.window + 6)
     if first_origin < min_train:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
@@ -14,7 +15,7 @@ from ..neural import TrainConfig
 MODELS = ("gm", "dgm", "dgm_fmarkov", "ignn", "sgnn", "hybrid")
 ALPHAS = (0.01, 0.05)
 
-_TRAIN_KEYS = ("learning_rate", "epochs", "seed", "shuffle")
+_TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -55,6 +56,8 @@ class PipelineConfig:
                 f"state_boundaries must be a list of numbers, got {self.state_boundaries!r}"
             )
         bounds = tuple(_number("state_boundaries", b) for b in self.state_boundaries)
+        if not all(map(math.isfinite, bounds)):
+            raise ConfigError(f"state_boundaries must be finite reals, got {list(bounds)}")
         if len(bounds) < 3 or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ConfigError(
                 "state_boundaries must be at least 3 strictly increasing reals"
@@ -79,39 +82,31 @@ class PipelineConfig:
         self.seed = _integer("seed", self.seed, 0)
 
     def echo(self) -> dict:
-        """Serializable snapshot for report files."""
-        return {
-            "model": self.model,
-            "state_boundaries": list(self.state_boundaries),
-            "window": self.window,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "seed": self.train.seed,
-                "shuffle": self.train.shuffle,
-            },
-            "hybrid_scheme": self.hybrid_scheme,
-            "combine": self.combine,
-            "rho": self.rho,
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
+        """Serializable snapshot for report files, in field order (not
+        ``dataclasses.asdict``, whose deep copy costs far more)."""
+        doc = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        doc["state_boundaries"] = list(self.state_boundaries)
+        doc["train"] = {name: getattr(self.train, name) for name in _TRAIN_DEFAULTS}
+        return doc
+
+
+#: PipelineConfig's field names, in order.
+_CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig))
 
 
 def _build_train(raw: dict, default_seed: int) -> TrainConfig:
-    unknown = set(raw) - set(_TRAIN_KEYS)
+    unknown = set(raw) - set(_TRAIN_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    shuffle = raw.get("shuffle", True)
-    if not isinstance(shuffle, bool):
-        raise ConfigError(f"train.shuffle must be true or false, got {shuffle!r}")
+    merged = {**_TRAIN_DEFAULTS, "seed": default_seed, **raw}
+    if not isinstance(merged["shuffle"], bool):
+        raise ConfigError(f"train.shuffle must be true or false, got {merged['shuffle']!r}")
     try:
         return TrainConfig(
-            learning_rate=_number("train.learning_rate", raw.get("learning_rate", 0.05)),
-            epochs=_integer("train.epochs", raw.get("epochs", 2000), 0),
-            seed=_integer("train.seed", raw.get("seed", default_seed), 0),
-            shuffle=shuffle,
+            learning_rate=_number("train.learning_rate", merged["learning_rate"]),
+            epochs=_integer("train.epochs", merged["epochs"], 0),
+            seed=_integer("train.seed", merged["seed"], 0),
+            shuffle=merged["shuffle"],
         )
     except DataError as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc
@@ -132,8 +127,7 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(raw)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -39,15 +40,19 @@ def _normalize(row: list[str]) -> tuple[str, ...]:
     return tuple(cell.strip().lower() for cell in row)
 
 
-def sniff_csv_kind(path) -> str:
-    """'series' for value / date,value files, 'counts' for state fixtures."""
-    rows = _read_rows(path)
+def _nonblank_rows(source) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The normalized header and all rows, header included, of a CSV whose
+    blank rows are dropped; a file of blank rows only is a parse error."""
+    rows = [row for row in _read_rows(source) if any(cell.strip() for cell in row)]
     if not rows:
         raise CsvParseError("empty file")
-    header = _normalize(rows[0])
-    if header and header[0] == "state":
-        return "counts"
-    return "series"
+    return _normalize(rows[0]), rows
+
+
+def sniff_csv_kind(path) -> str:
+    """'series' for value / date,value files, 'counts' for state fixtures."""
+    header, _ = _nonblank_rows(path)
+    return "counts" if header[0] == "state" else "series"
 
 
 def parse_series_csv(source) -> TimeSeries:
@@ -56,11 +61,7 @@ def parse_series_csv(source) -> TimeSeries:
     Row numbers in error messages are 1-based file rows (the header is
     row 1).
     """
-    rows = _read_rows(source)
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError("empty file")
-    header = _normalize(rows[0])
+    header, rows = _nonblank_rows(source)
     if header not in SERIES_HEADERS:
         raise CsvParseError(
             f"unrecognized header {list(rows[0])!r}; expected 'value' or 'date,value'"
@@ -96,12 +97,8 @@ def parse_counts_csv(source) -> tuple[np.ndarray, np.ndarray]:
     row per state holding the integer transition counts into each state and
     the state's total occupancy over all classified points.
     """
-    rows = _read_rows(source)
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError("empty file")
-    header = _normalize(rows[0])
-    if not header or header[0] != "state" or header[-1] != "occupancy":
+    header, rows = _nonblank_rows(source)
+    if header[0] != "state" or header[-1] != "occupancy":
         raise CsvParseError(
             "counts fixture must start with header 'state,to1,...,occupancy'"
         )
@@ -144,35 +141,28 @@ def _open_output(path, newline=None):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_series_csv(path, values, labels=None) -> None:
-    with _open_output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        if labels is not None:
-            writer.writerow(["date", "value"])
-            for label, value in zip(labels, values):
-                writer.writerow([label, format_float(value)])
-        else:
-            writer.writerow(["value"])
-            for value in values:
-                writer.writerow([format_float(value)])
-
-
-def write_forecast_csv(path, start_t: int, values) -> None:
-    with _open_output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "forecast"])
-        for offset, value in enumerate(values):
-            writer.writerow([start_t + offset, format_float(value)])
-
-
-def write_plot_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header, rows) -> None:
     with _open_output(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [row[0]] + [format_float(v) for v in row[1:]]
-            )
+        writer.writerows(rows)
+
+
+def write_series_csv(path, values, labels=None) -> None:
+    if labels is None:
+        _write_csv(path, ["value"], ([format_float(v)] for v in values))
+    else:
+        rows = ([label, format_float(v)] for label, v in zip(labels, values))
+        _write_csv(path, ["date", "value"], rows)
+
+
+def write_forecast_csv(path, start_t: int, values) -> None:
+    rows = ([start_t + i, format_float(v)] for i, v in enumerate(values))
+    _write_csv(path, ["t", "forecast"], rows)
+
+
+def write_plot_csv(path, header: list[str], rows) -> None:
+    _write_csv(path, header, ([row[0], *map(format_float, row[1:])] for row in rows))
 
 
 def format_float(value) -> str:
@@ -230,25 +220,9 @@ def _write_json(obj, out, indent: int, level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+# The stdlib's string encoder, built once: json.dumps would build a new
+# encoder for every string.
+_escape = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_json(path, obj) -> None:

@@ -40,7 +40,7 @@ from ..markov import (
 )
 from ..series import relative_residuals
 from .backtest import run_backtest
-from .config import PipelineConfig, load_config, parse_boundaries
+from .config import _CONFIG_FIELDS, PipelineConfig, load_config, parse_boundaries
 from .io import (
     _open_input,
     parse_counts_csv,
@@ -54,7 +54,6 @@ from .io import (
 from .models import (
     DEFAULT_COMPONENTS,
     _markov_summary,
-    _plain,
     assemble_hybrid,
     components_markov_report,
     fit_model,
@@ -65,6 +64,17 @@ from .models import (
 from .synth import synthetic_series
 
 
+#: Exit code of each error class, most specific first.
+_EXIT_CODES = (
+    (ConfigError, 2),
+    (MissingInputError, 3),
+    (CsvParseError, 4),
+    (DataError, 5),
+    (NumericError, 6),
+    (GreycastError, 1),
+)
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, *, with_model: bool = True) -> None:
     parser.add_argument("--config", help="JSON config file; flags win on conflict")
     if with_model:
@@ -73,30 +83,25 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_model: bool = Tru
     parser.add_argument("--horizon", type=int, help="forecast steps")
     parser.add_argument("--alpha", type=float, help="Markov test confidence (0.01 or 0.05)")
     parser.add_argument("--rho", type=float, help="relational identification coefficient")
-    parser.add_argument("--scheme", help="hybrid weighting scheme")
+    parser.add_argument(
+        "--scheme", dest="hybrid_scheme", metavar="SCHEME", help="hybrid weighting scheme"
+    )
     parser.add_argument("--combine", help="combination formula")
     parser.add_argument("--seed", type=int, help="master RNG seed")
     parser.add_argument(
         "--boundaries",
+        dest="state_boundaries",
+        metavar="BOUNDARIES",
         help="comma-separated state boundaries; use --boundaries=-0.09,... "
         "when the first one is negative",
     )
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {
-        "model": getattr(args, "model", None),
-        "window": getattr(args, "window", None),
-        "horizon": getattr(args, "horizon", None),
-        "alpha": getattr(args, "alpha", None),
-        "rho": getattr(args, "rho", None),
-        "hybrid_scheme": getattr(args, "scheme", None),
-        "combine": getattr(args, "combine", None),
-        "seed": getattr(args, "seed", None),
-    }
-    boundaries = getattr(args, "boundaries", None)
-    if boundaries is not None:
-        overrides["state_boundaries"] = parse_boundaries(boundaries)
+    """Each config flag's dest is the PipelineConfig field it overrides."""
+    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
+    if overrides["state_boundaries"] is not None:
+        overrides["state_boundaries"] = parse_boundaries(overrides["state_boundaries"])
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -228,7 +233,7 @@ def cmd_hybrid(args) -> int:
         "weights": {
             "scheme": weights.scheme,
             "values": [float(w) for w in weights.weights],
-            "diagnostics": _plain(weights.diagnostics),
+            "diagnostics": weights.diagnostics,
         },
         "markov_test": markov_report_doc(components_markov_report(fits)),
         "forecast": {
@@ -421,24 +426,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CsvParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
     except GreycastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 def console_main() -> None:

@@ -78,7 +78,6 @@ class FittedModel:
     fitted: np.ndarray
     _doc: dict
     markov_report: MarkovTestReport | None = None
-    weights: HybridWeights | None = None
 
     def forecast(self, horizon: int) -> np.ndarray:
         return model_from_doc(self.to_doc()).forecast(horizon)
@@ -303,11 +302,9 @@ def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> F
             "scheme": weights.scheme,
             "combine": cfg.combine,
             "weights": [float(w) for w in weights.weights],
-            "diagnostics": _plain(weights.diagnostics),
+            "diagnostics": weights.diagnostics,
             "components": [f.to_doc() for f in fits],
         },
-        markov_report=components_markov_report(fits),
-        weights=weights,
     )
 
 
@@ -318,21 +315,6 @@ def components_markov_report(fits) -> MarkovTestReport | None:
     are distinct kinds, so there is at most one.
     """
     return next((f.markov_report for f in fits if f.markov_report is not None), None)
-
-
-def _plain(obj):
-    """Coerce numpy scalars/arrays inside diagnostics to plain Python."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def _each(fit_one):

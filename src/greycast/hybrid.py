@@ -351,14 +351,13 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
     abs_errors = np.abs(errors)
     emin, emax = float(abs_errors.min()), float(abs_errors.max())
     rho = cfg.rho
+    if emax == 0.0:  # every forecast is exact, so every degree is 1
+        diagnostics = {"gamma": 1.0, "gamma_individual": [1.0] * m, "tie": True}
+        return HybridWeights(np.full(m, 1.0 / m), SCHEME_GREY_RELATION, diagnostics)
     individual = [float(_relation_scores(e, emin, emax, rho)) for e in abs_errors]
 
     def diag(gamma: float, tie: bool = False) -> dict:
         return {"gamma": gamma, "gamma_individual": individual, "tie": tie}
-
-    if emax == 0.0:
-        w = np.full(m, 1.0 / m)
-        return HybridWeights(w, SCHEME_GREY_RELATION, diag(1.0, tie=True))
 
     def gamma_of(w: np.ndarray) -> float:
         return float(_relation_scores(np.abs(w @ errors), emin, emax, rho))

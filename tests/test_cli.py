@@ -1,19 +1,22 @@
 import csv
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import greycast
 import greycast.cli.models as cli_models
+import greycast.errors
 from greycast import CsvParseError, DataError, TrainConfig, fit_gm11, forecast_gm11
 from greycast.cli.config import PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
-from greycast.cli.main import main
+from greycast.cli.main import _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
 from conftest import PUBLISHED_COUNTS, PUBLISHED_OCCUPANCY
 
@@ -90,6 +93,21 @@ def test_dump_json_float_rendering():
     assert dump_json(float("nan")) == "null\n"
 
 
+def test_dump_json_escapes_strings_as_before():
+    # Quotes, backslashes and control characters escaped; non-ASCII text kept.
+    doc = {'q"k': 'a"b', "back\\slash": "c\\d", "nl\n": "e\nf\rg\th",
+           "ctl\x01": "\x01\x1f", "grüße": "雪 – ü"}
+    text = dump_json(doc)
+    assert text == (
+        '{\n  "q\\"k": "a\\"b",\n  "back\\\\slash": "c\\\\d",\n'
+        '  "nl\\n": "e\\nf\\rg\\th",\n  "ctl\\u0001": "\\u0001\\u001f",\n'
+        '  "grüße": "雪 – ü"\n}\n'
+    )
+    assert json.loads(text) == doc
+    # Backspace and form feed take the short escapes.
+    assert dump_json("\b\f") == '"\\b\\f"\n'
+
+
 # ---------------------------------------------------------------------------
 # synth + fit + forecast commands
 # ---------------------------------------------------------------------------
@@ -158,6 +176,14 @@ def test_markov_test_on_published_counts(tmp_path, capsys):
     assert "dof = 25" in out
     assert "threshold = 44.3" in out
     assert "verdict: MARKOV" in out
+
+
+def test_markov_test_skips_blank_rows_before_a_counts_header(tmp_path, capsys):
+    fixture = tmp_path / "fixture_states.csv"
+    write_counts_fixture(fixture)
+    fixture.write_text("\n" + fixture.read_text())
+    assert main(["markov-test", "--input", str(fixture), "--alpha", "0.01"]) == 0
+    assert "dof = 25" in capsys.readouterr().out
 
 
 def test_markov_test_on_series(tmp_path, capsys):
@@ -449,6 +475,23 @@ _CONFIGS = {
     "alpha_string": {"alpha": "x"},
     "horizon_string": {"horizon": "x"},
     "boundaries_string": {"state_boundaries": "abc"},
+    "boundaries_nan": {"state_boundaries": [0, float("nan"), 1]},
+    "boundaries_infinite": {"state_boundaries": [0, 1, float("inf")]},
+}
+
+
+# Calls on a valid series: probe -> (exit code, command, flags after
+# --input and --out).
+_CALLS = {
+    "boundaries_flag_nan": (2, "hybrid", ["--components", "dgm,gm", "--boundaries=0,nan,1"]),
+    "boundaries_flag_infinite": (2, "fit", ["--model", "dgm_fmarkov", "--boundaries=-inf,0,1"]),
+    "markov_test_boundaries_nan": (2, "markov-test", ["--boundaries=-0.1,nan,0.1"]),
+    "components_one_kind": (2, "hybrid", ["--components", "dgm"]),
+    "components_repeated_kind": (2, "hybrid", ["--components", "dgm,gm,dgm"]),
+    "components_hybrid": (2, "hybrid", ["--components", "dgm,hybrid"]),
+    "backtest_folds_zero": (2, "backtest", ["--folds", "0"]),
+    "backtest_folds_negative": (2, "backtest", ["--folds", "-2"]),
+    "backtest_too_few_points": (5, "backtest", ["--folds", "25"]),
 }
 
 
@@ -487,6 +530,9 @@ def _probe_argv(tmp_path, probe):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(_CONFIGS[probe]))
         return fit + ["--config", str(config)]
+    if probe in _CALLS:
+        _, command, flags = _CALLS[probe]
+        return [command, "--input", str(data), "--out", str(tmp_path / "out.json"), *flags]
     if probe == "model_missing_key":
         assert main(fit) == 0
         doc = json.loads((tmp_path / "m.json").read_text())
@@ -520,6 +566,7 @@ def _probe_argv(tmp_path, probe):
 
 @pytest.mark.parametrize("probe, code", [
     *((probe, 2) for probe in _CONFIGS),
+    *((probe, code) for probe, (code, _, _) in _CALLS.items()),
     ("model_missing_key", 5),
     *((probe, 5) for probe in _REPORTS),
     ("unwritable_output", 2),
@@ -542,6 +589,45 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
         assert "cannot read " in err
     if _REPORTS.get(probe, (None, None))[1]:
         assert f"report field {_REPORTS[probe][1]} " in err, err
+    if probe.startswith("backtest_folds"):
+        assert "fold count must be at least 1" in err
+
+
+# Every error class and the exit code the CLI maps it to.
+_EXIT_CODES = {
+    greycast.errors.GreycastError: 1,
+    greycast.errors.ConfigError: 2,
+    greycast.errors.MissingInputError: 3,
+    greycast.errors.CsvParseError: 4,
+    greycast.errors.DataError: 5,
+    greycast.errors.EmptySeriesError: 5,
+    greycast.errors.InsufficientDataError: 5,
+    greycast.errors.PositivityError: 5,
+    greycast.errors.DegeneracyError: 5,
+    greycast.errors.NumericError: 6,
+    greycast.errors.SingularSystemError: 6,
+    greycast.errors.RecursionOverflowError: 6,
+    greycast.errors.DivergenceError: 6,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {
+        value for value in vars(greycast.errors).values()
+        if isinstance(value, type) and issubclass(value, greycast.errors.GreycastError)
+    }
+    assert classes == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODES), ids=lambda error: error.__name__)
+def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(importlib.import_module("greycast.cli.main"), "synthetic_series", fail)
+    assert main(["synth", "--out", str(tmp_path / "x.csv")]) == _EXIT_CODES[error]
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: boom\n")
 
 
 @pytest.mark.parametrize("kind, path", [
@@ -560,6 +646,55 @@ def test_model_doc_names_a_missing_nested_key(kind, path):
         cli_models.model_from_doc(doc)
 
 
+# Each config flag, a value for it, and what it sets the field of the same
+# name to.
+_FLAGS = [
+    ("--model", "dgm", "model", "dgm"),
+    ("--boundaries", "-0.1,0,0.1", "state_boundaries", (-0.1, 0.0, 0.1)),
+    ("--window", "3", "window", 3),
+    ("--scheme", "simplex_ls", "hybrid_scheme", "simplex_ls"),
+    ("--combine", "harmonic", "combine", "harmonic"),
+    ("--rho", "0.3", "rho", 0.3),
+    ("--alpha", "0.05", "alpha", 0.05),
+    ("--horizon", "7", "horizon", 7),
+    ("--seed", "5", "seed", 5),
+]
+
+
+def test_every_config_field_but_train_has_a_flag():
+    names = [f.name for f in fields(PipelineConfig) if f.name != "train"]
+    assert [name for _, _, name, _ in _FLAGS] == names
+
+
+@pytest.mark.parametrize("flag, text, name, value", _FLAGS, ids=[f[0] for f in _FLAGS])
+def test_each_config_flag_sets_its_field(flag, text, name, value):
+    args = build_parser().parse_args(["fit", "--input", "s.csv", "--out", "m.json", f"{flag}={text}"])
+    assert getattr(args, name) is not None  # the flag's dest is the field
+    cfg = _config_from_args(args)
+    assert getattr(cfg, name) == value
+    default = PipelineConfig()
+    others = [f.name for f in fields(PipelineConfig) if f.name not in (name, "train")]
+    assert [getattr(cfg, other) for other in others] == [getattr(default, other) for other in others]
+
+
+def test_load_config_reads_back_an_echoed_config(tmp_path):
+    cfg = PipelineConfig(
+        model="sgnn",
+        state_boundaries=(-0.2, 0.0, 0.1, 0.3),
+        window=3,
+        train=TrainConfig(learning_rate=0.2, epochs=7, seed=4, shuffle=False),
+        hybrid_scheme="simplex_ls",
+        combine="geometric",
+        rho=0.25,
+        alpha=0.05,
+        horizon=6,
+        seed=9,
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.echo()))
+    assert load_config(str(path), {}) == cfg
+
+
 def test_flags_override_config_file(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"model": "gm", "horizon": 7}))
@@ -575,3 +710,38 @@ def test_pipeline_config_validation():
         PipelineConfig(model="arima")
     with pytest.raises(Exception, match="boundaries"):
         PipelineConfig(state_boundaries=(0.1, 0.0, 0.2))
+
+
+# ---------------------------------------------------------------------------
+# weight diagnostics go into reports and model docs as they are
+# ---------------------------------------------------------------------------
+
+_ACTUAL = synthetic_series(30, seed=4)
+_PREDICTIONS = [
+    _ACTUAL * (1.0 + 0.03 * np.random.default_rng(j).standard_normal(_ACTUAL.size))
+    for j in range(4)
+]
+# probe -> (scheme, predictions, diagnostics key that must be true or None)
+_DIAGNOSTICS = {
+    "effective_degree": ("effective_degree", _PREDICTIONS[:2], None),
+    "min_variance": ("min_variance", _PREDICTIONS[:2], None),
+    "simplex_ls_2": ("simplex_ls", _PREDICTIONS[:2], None),
+    "simplex_ls_3": ("simplex_ls", _PREDICTIONS[:3], None),
+    "simplex_ls_identical": ("simplex_ls", [_PREDICTIONS[0]] * 2, "degenerate"),
+    "grey_relation_2": ("grey_relation", _PREDICTIONS[:2], None),
+    "grey_relation_3": ("grey_relation", _PREDICTIONS[:3], None),
+    "grey_relation_4": ("grey_relation", _PREDICTIONS, None),
+    "grey_relation_identical": ("grey_relation", [_PREDICTIONS[0]] * 3, "tie"),
+    "grey_relation_exact": ("grey_relation", [_ACTUAL] * 2, "tie"),
+}
+
+
+@pytest.mark.parametrize("probe", list(_DIAGNOSTICS))
+def test_weight_diagnostics_are_plain_json(probe):
+    scheme, predictions, flag = _DIAGNOSTICS[probe]
+    cfg = PipelineConfig(hybrid_scheme=scheme)
+    diagnostics = cli_models.compute_weights(_ACTUAL, predictions, cfg).diagnostics
+    text = json.dumps(diagnostics)  # a numpy integer or bool raises TypeError
+    assert json.loads(dump_json(diagnostics)) == json.loads(text)
+    if flag is not None:
+        assert diagnostics[flag] is True

@@ -315,6 +315,14 @@ def test_relation_weights_identical_forecasts():
     assert hw.diagnostics["tie"] is True
 
 
+def test_relation_weights_all_exact_forecasts():
+    # every error is 0, so each degree is 1, as grey_relation_degree scores it
+    actual = np.array([10.0, 12.0, 11.0])
+    hw = optimize_relation_weights(actual, [actual.copy(), actual.copy()])
+    assert hw.weights.tolist() == [0.5, 0.5]
+    assert hw.diagnostics == {"gamma": 1.0, "gamma_individual": [1.0, 1.0], "tie": True}
+
+
 def test_relation_weights_perfect_forecast():
     rng = np.random.default_rng(57)
     actual = rng.uniform(20, 30, size=20)
