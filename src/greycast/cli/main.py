@@ -40,7 +40,7 @@ from ..markov import (
 )
 from ..series import relative_residuals
 from .backtest import run_backtest
-from .config import _CONFIG_FIELDS, PipelineConfig, load_config, parse_boundaries
+from .config import PipelineConfig, load_config, parse_boundaries
 from .io import (
     _open_input,
     parse_counts_csv,
@@ -75,38 +75,50 @@ _EXIT_CODES = (
 )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, with_model: bool = True) -> None:
-    parser.add_argument("--config", help="JSON config file; flags win on conflict")
-    if with_model:
-        parser.add_argument("--model", help="model kind")
-    parser.add_argument("--window", type=int, help="lag window for network inputs")
-    parser.add_argument("--horizon", type=int, help="forecast steps")
-    parser.add_argument("--alpha", type=float, help="Markov test confidence (0.01 or 0.05)")
-    parser.add_argument("--rho", type=float, help="relational identification coefficient")
-    parser.add_argument(
-        "--scheme", dest="hybrid_scheme", metavar="SCHEME", help="hybrid weighting scheme"
-    )
-    parser.add_argument("--combine", help="combination formula")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument(
-        "--boundaries",
-        dest="state_boundaries",
-        metavar="BOUNDARIES",
-        help="comma-separated state boundaries; use --boundaries=-0.09,... "
+#: The flag of each PipelineConfig field but ``train``: field -> (flag,
+#: add_argument keywords). Each flag's dest is the field it overrides.
+_CONFIG_FLAGS = {
+    "model": ("--model", {"help": "model kind"}),
+    "state_boundaries": ("--boundaries", {
+        "type": parse_boundaries,
+        "metavar": "BOUNDARIES",
+        "help": "comma-separated state boundaries; use --boundaries=-0.09,... "
         "when the first one is negative",
-    )
+    }),
+    "window": ("--window", {"type": int, "help": "lag window for network inputs"}),
+    "hybrid_scheme": ("--scheme", {"metavar": "SCHEME", "help": "hybrid weighting scheme"}),
+    "combine": ("--combine", {"help": "combination formula"}),
+    "rho": ("--rho", {"type": float, "help": "relational identification coefficient"}),
+    "alpha": ("--alpha", {"type": float, "help": "Markov test confidence (0.01 or 0.05)"}),
+    "horizon": ("--horizon", {"type": int, "help": "forecast steps"}),
+    "seed": ("--seed", {"type": int, "help": "master RNG seed"}),
+}
+
+#: The config fields each subcommand reads; it takes the flags of these only.
+_READS = {
+    "fit": ("model", "state_boundaries", "window", "hybrid_scheme", "combine", "rho", "seed"),
+    "forecast": ("horizon",),
+    "markov-test": ("state_boundaries", "alpha"),
+    "hybrid": tuple(name for name in _CONFIG_FLAGS if name != "model"),
+    "backtest": tuple(name for name in _CONFIG_FLAGS if name != "model"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, which main reports on one line with
+    exit code 2; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _config_from_args(args) -> PipelineConfig:
-    """Each config flag's dest is the PipelineConfig field it overrides."""
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
-    if overrides["state_boundaries"] is not None:
-        overrides["state_boundaries"] = parse_boundaries(overrides["state_boundaries"])
-    return load_config(getattr(args, "config", None), overrides)
+    overrides = {name: getattr(args, name) for name in _READS[args.command]}
+    return load_config(args.config, overrides)
 
 
 def _components_from_args(args) -> tuple[str, ...]:
-    raw = getattr(args, "components", None)
+    raw = args.components
     if not raw:
         return DEFAULT_COMPONENTS
     parts = tuple(part.strip() for part in raw.split(",") if part.strip())
@@ -148,6 +160,8 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = _config_from_args(args)
+    if args.components and cfg.model != "hybrid":
+        raise ConfigError(f"--components applies to --model hybrid only, not {cfg.model!r}")
     series = parse_series_csv(args.input)
     fitted = fit_model(cfg.model, series.values, cfg, _components_from_args(args))
     write_json(args.out, fitted.to_doc())
@@ -169,9 +183,7 @@ def cmd_forecast(args) -> int:
 
 def _markov_from_series(args, cfg: PipelineConfig):
     series = parse_series_csv(args.input)
-    base_kind = args.model or "dgm"
-    if base_kind == "dgm_fmarkov":
-        base_kind = "dgm"
+    base_kind = "dgm" if args.model == "dgm_fmarkov" else args.model
     if base_kind not in ("gm", "dgm"):
         raise ConfigError(
             f"markov-test needs a grey base model (gm or dgm), got {base_kind!r}"
@@ -351,7 +363,7 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="greycast",
         description="Grey-system forecasting pipeline (CSV in, JSON/CSV artifacts out)",
     )
@@ -373,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--components", help="comma list for --model hybrid")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="forecast from a persisted model JSON")
     p.add_argument("--input", required=True, help="model JSON written by fit")
     p.add_argument("--out", required=True, help="forecast CSV")
-    _add_config_flags(p, with_model=False)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("markov-test", help="chi-squared Markov property test")
     p.add_argument("--input", required=True, help="series CSV or counts fixture CSV")
     p.add_argument("--out", help="optional JSON report")
-    _add_config_flags(p)
+    p.add_argument(
+        "--model", default="dgm", help="grey base model for a series: gm or dgm (default dgm)"
+    )
     p.set_defaults(func=cmd_markov_test)
 
     p = sub.add_parser("hybrid", help="fit components, weight them, report")
@@ -393,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--forecast-out", help="optional hybrid forecast CSV")
     p.add_argument("--components", help="comma list, default dgm_fmarkov,ignn")
-    _add_config_flags(p, with_model=False)
     p.set_defaults(func=cmd_hybrid)
 
     p = sub.add_parser("backtest", help="rolling-origin evaluation")
@@ -402,13 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-out", help="plot-data CSV")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--components", help="comma list, default dgm_fmarkov,ignn")
-    _add_config_flags(p, with_model=False)
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("report", help="print a summary of a report JSON")
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_report)
 
+    for command, names in _READS.items():
+        p = sub.choices[command]
+        p.add_argument("--config", help="JSON config file; flags win on conflict")
+        for name in names:
+            flag, options = _CONFIG_FLAGS[name]
+            p.add_argument(flag, dest=name, **options)
     return parser
 
 
@@ -422,10 +438,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except GreycastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))

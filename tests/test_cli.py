@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -16,7 +17,7 @@ import greycast.errors
 from greycast import CsvParseError, DataError, TrainConfig, fit_gm11, forecast_gm11
 from greycast.cli.config import PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
-from greycast.cli.main import _config_from_args, build_parser, main
+from greycast.cli.main import _CONFIG_FLAGS, _READS, _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
 from conftest import PUBLISHED_COUNTS, PUBLISHED_OCCUPANCY
 
@@ -492,6 +493,14 @@ _CALLS = {
     "backtest_folds_zero": (2, "backtest", ["--folds", "0"]),
     "backtest_folds_negative": (2, "backtest", ["--folds", "-2"]),
     "backtest_too_few_points": (5, "backtest", ["--folds", "25"]),
+    # a config flag the subcommand does not read, an unknown flag or a
+    # flag value of the wrong type is a usage error
+    "forecast_combine": (2, "forecast", ["--combine", "harmonic"]),
+    "markov_test_window": (2, "markov-test", ["--window", "9"]),
+    "fit_horizon": (2, "fit", ["--model", "gm", "--horizon", "3"]),
+    "unknown_flag": (2, "forecast", ["--bogus", "1"]),
+    "horizon_not_an_integer": (2, "forecast", ["--horizon", "x"]),
+    "components_on_gm": (2, "fit", ["--model", "gm", "--components", "dgm,gm"]),
 }
 
 
@@ -550,6 +559,8 @@ def _probe_argv(tmp_path, probe):
         else:
             report.write_text(json.dumps(doc))
         return ["report", "--input", str(report)]
+    if probe == "input_flag_missing":
+        return ["fit", "--model", "gm", "--out", str(tmp_path / "m.json")]
     if probe == "input_is_directory":
         return ["fit", "--model", "gm", "--input", str(tmp_path), "--out", str(tmp_path / "m.json")]
     if probe == "report_input_is_directory":
@@ -570,6 +581,7 @@ def _probe_argv(tmp_path, probe):
     ("model_missing_key", 5),
     *((probe, 5) for probe in _REPORTS),
     ("unwritable_output", 2),
+    ("input_flag_missing", 2),
     ("input_is_directory", 3),
     ("report_input_is_directory", 3),
     ("config_is_directory", 2),
@@ -668,13 +680,33 @@ def test_every_config_field_but_train_has_a_flag():
 
 @pytest.mark.parametrize("flag, text, name, value", _FLAGS, ids=[f[0] for f in _FLAGS])
 def test_each_config_flag_sets_its_field(flag, text, name, value):
-    args = build_parser().parse_args(["fit", "--input", "s.csv", "--out", "m.json", f"{flag}={text}"])
+    command = "fit" if flag == "--model" else "hybrid"
+    args = build_parser().parse_args([command, "--input", "s.csv", "--out", "m.json", f"{flag}={text}"])
     assert getattr(args, name) is not None  # the flag's dest is the field
     cfg = _config_from_args(args)
     assert getattr(cfg, name) == value
     default = PipelineConfig()
     others = [f.name for f in fields(PipelineConfig) if f.name not in (name, "train")]
     assert [getattr(cfg, other) for other in others] == [getattr(default, other) for other in others]
+
+
+# The flags of each subcommand that reads the config, besides -h/--help,
+# --config and the config flags it reads.
+_OWN_FLAGS = {
+    "fit": {"--input", "--out", "--components"},
+    "forecast": {"--input", "--out"},
+    "markov-test": {"--input", "--out", "--model"},
+    "hybrid": {"--input", "--out", "--forecast-out", "--components"},
+    "backtest": {"--input", "--out", "--plot-out", "--folds", "--components"},
+}
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_help_lists_the_config_flags_the_subcommand_reads(capsys, command):
+    assert main([command, "--help"]) == 0
+    listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+    config_flags = [_CONFIG_FLAGS[name][0] for name in _READS[command]]
+    assert set(listed) == {"--help", "--config", *config_flags, *_OWN_FLAGS[command]}
 
 
 def test_load_config_reads_back_an_echoed_config(tmp_path):
