@@ -83,7 +83,7 @@ def run_backtest(
     report = {
         "schema_version": 1,
         "command": "backtest",
-        "config": cfg.echo(),
+        "config": cfg.echo("backtest"),
         "components": names,
         "folds": fold_docs,
         "models": {

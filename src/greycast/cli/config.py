@@ -81,17 +81,30 @@ class PipelineConfig:
         self.horizon = _integer("horizon", self.horizon, 1)
         self.seed = _integer("seed", self.seed, 0)
 
-    def echo(self) -> dict:
-        """Serializable snapshot for report files, in field order (not
-        ``dataclasses.asdict``, whose deep copy costs far more)."""
-        doc = {name: getattr(self, name) for name in _CONFIG_FIELDS}
-        doc["state_boundaries"] = list(self.state_boundaries)
+    def echo(self, command: str) -> dict:
+        """Serializable snapshot for the report of ``command``: the fields it
+        reads and ``train``, in field order (not ``dataclasses.asdict``, whose
+        deep copy costs far more)."""
+        echoed = (*READS[command], "train")
+        doc = {name: getattr(self, name) for name in _CONFIG_FIELDS if name in echoed}
+        if "state_boundaries" in doc:
+            doc["state_boundaries"] = list(self.state_boundaries)
         doc["train"] = {name: getattr(self.train, name) for name in _TRAIN_DEFAULTS}
         return doc
 
 
 #: PipelineConfig's field names, in order.
 _CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig))
+
+#: The config fields each subcommand reads: it takes the flags of these
+#: only, and its report echoes these and ``train``.
+READS = {
+    "fit": ("model", "state_boundaries", "window", "hybrid_scheme", "combine", "rho", "seed"),
+    "forecast": ("horizon",),
+    "markov-test": ("state_boundaries", "alpha"),
+    "hybrid": tuple(name for name in _CONFIG_FIELDS if name not in ("model", "train")),
+    "backtest": tuple(name for name in _CONFIG_FIELDS if name not in ("model", "train")),
+}
 
 
 def _build_train(raw: dict, default_seed: int) -> TrainConfig:

@@ -40,7 +40,7 @@ from ..markov import (
 )
 from ..series import relative_residuals
 from .backtest import run_backtest
-from .config import PipelineConfig, load_config, parse_boundaries
+from .config import READS, PipelineConfig, load_config, parse_boundaries
 from .io import (
     _open_input,
     parse_counts_csv,
@@ -94,26 +94,21 @@ _CONFIG_FLAGS = {
     "seed": ("--seed", {"type": int, "help": "master RNG seed"}),
 }
 
-#: The config fields each subcommand reads; it takes the flags of these only.
-_READS = {
-    "fit": ("model", "state_boundaries", "window", "hybrid_scheme", "combine", "rho", "seed"),
-    "forecast": ("horizon",),
-    "markov-test": ("state_boundaries", "alpha"),
-    "hybrid": tuple(name for name in _CONFIG_FLAGS if name != "model"),
-    "backtest": tuple(name for name in _CONFIG_FLAGS if name != "model"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ConfigError, which main reports on one line with
-    exit code 2; subparsers are built from the same class."""
+    exit code 2; a flag must be spelled in full.  Subparsers are built from
+    the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {name: getattr(args, name) for name in _READS[args.command]}
+    overrides = {name: getattr(args, name) for name in READS[args.command]}
     return load_config(args.config, overrides)
 
 
@@ -232,7 +227,7 @@ def cmd_hybrid(args) -> int:
     report = {
         "schema_version": 1,
         "command": "hybrid",
-        "config": cfg.echo(),
+        "config": cfg.echo("hybrid"),
         "components": list(components),
         "evaluation": {
             "start_t": start,
@@ -326,6 +321,11 @@ def _top_or_evaluation(doc: dict, key: str):
     return evaluation.get(key), f"evaluation.{key}"
 
 
+#: The config fields ``report`` prints, with their labels, when a report holds them.
+_REPORT_CONFIG = (("model", "model"), ("hybrid_scheme", "scheme"), ("combine", "combine"),
+                  ("horizon", "horizon"), ("seed", "seed"))
+
+
 def cmd_report(args) -> int:
     """Print a summary of a report; a field of the wrong type or a missing
     one is a data error that names it, and nothing is printed."""
@@ -333,11 +333,8 @@ def cmd_report(args) -> int:
     lines = [f"report for command: {doc.get('command', '?')}"]
     config = _report_object(doc.get("config", {}), "config")
     if config:
-        lines.append(
-            f"  config: model={config.get('model')} scheme={config.get('hybrid_scheme')} "
-            f"combine={config.get('combine')} horizon={config.get('horizon')} "
-            f"seed={config.get('seed')}"
-        )
+        shown = [f"{label}={config[key]}" for key, label in _REPORT_CONFIG if key in config]
+        lines.append(" ".join(["  config:", *shown]))
     models, name = _top_or_evaluation(doc, "models")
     for label, metrics in _report_object(models or {}, name).items():
         lines.append(_metrics_line(label, metrics, f"{name}.{label}"))
@@ -419,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=cmd_report)
 
-    for command, names in _READS.items():
+    for command, names in READS.items():
         p = sub.choices[command]
         p.add_argument("--config", help="JSON config file; flags win on conflict")
         for name in names:

@@ -46,36 +46,17 @@ class OptimalInitial:
     degenerate: bool = False
 
 
-def _original_scale_coefficients(beta, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Affine coefficients (d, c) with simulated x0[k] = d[k-1] + c[k-1]*xi.
-
-    Propagates the recursion symbolically in xi: the AGO value and its
-    first difference are both affine in the initial condition.
-    """
-    b1, b2, b3, b4 = (float(v) for v in beta)
-    d = np.empty(n)
-    c = np.empty(n)
-    d[0], c[0] = 0.0, 1.0  # x0[1] = x1[1] = xi
-    d1_prev, c1_prev = 0.0, 1.0
-    d0_cur, c0_cur = 0.0, 1.0
-    for k in range(1, n):
-        d1_next = b1 * d1_prev + b2 * d0_cur + b3 * k + b4
-        c1_next = b1 * c1_prev + b2 * c0_cur
-        d0_cur = d1_next - d1_prev
-        c0_cur = c1_next - c1_prev
-        d[k], c[k] = d0_cur, c0_cur
-        d1_prev, c1_prev = d1_next, c1_next
-    return d, c
-
-
 def optimize_initial(beta, x) -> OptimalInitial:
     """Closed-form minimiser of Q(xi) = sum((simulated x0 - observed x0)^2).
 
     Q is exactly quadratic in xi, so the stationary point is the global
-    minimum; no root search is needed.
+    minimum; no root search is needed.  The simulated values are affine in
+    xi, x0[k] = d[k] + c[k]*xi: d is the run from xi = 0, and c the run of
+    the homogeneous part (b1, b2, 0, 0) from xi = 1.
     """
     values = as_values(x)
-    d, c = _original_scale_coefficients(beta, values.size)
+    d = simulate_dgm(beta, 0.0, values.size)
+    c = simulate_dgm((beta[0], beta[1], 0.0, 0.0), 1.0, values.size)
     denom = float(np.dot(c, c))
     if denom == 0.0:
         return OptimalInitial(xi=float(values[0]), curvature=0.0, degenerate=True)

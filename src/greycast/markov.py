@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DataError, DegeneracyError, InsufficientDataError
-from .series import ResidualSeries, relative_residuals
+from .series import relative_residuals
 
 #: Six-state partition of residual ratios used as the default: 2.5-9% loss,
 #: 1-2.5% loss, <1% loss, <1% gain, 1-2.5% gain, 2.5-9% gain.
@@ -60,9 +61,12 @@ class StatePartition:
     def k(self) -> int:
         return self.boundaries.size - 1
 
-    @property
+    @cached_property
     def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.boundaries[:-1] + self.boundaries[1:])
+        """State midpoints, computed once per partition and read-only."""
+        mids = 0.5 * (self.boundaries[:-1] + self.boundaries[1:])
+        mids.flags.writeable = False
+        return mids
 
     @classmethod
     def default(cls) -> "StatePartition":
@@ -298,23 +302,17 @@ def fmarkov_correct(fitted, actual, fm: FuzzyMarkovModel) -> np.ndarray:
     """Correct a fitted series by the expected residual drift.
 
     The corrected value at t adds drift(Z[t-1]) * actual[t-1] to the raw
-    fit; the first two points have no usable previous residual and pass
-    through unchanged.
+    fit, where drift is :func:`expected_drift`; the first two points have
+    no usable previous residual and pass through unchanged.
     """
     residuals = relative_residuals(actual, fitted)
-    return _apply_correction(np.asarray(fitted, dtype=float),
-                             np.asarray(actual, dtype=float), residuals, fm)
-
-
-def _apply_correction(
-    fitted: np.ndarray,
-    actual: np.ndarray,
-    residuals: ResidualSeries,
-    fm: FuzzyMarkovModel,
-) -> np.ndarray:
+    fitted = np.asarray(fitted, dtype=float)
+    actual = np.asarray(actual, dtype=float)
+    # Expected destination midpoint from each state, the same for every point.
+    state_drift = fm.fuzzy_probs @ fm.midpoints
     out = fitted.copy()
     # residuals.values[i] is Z at time residuals.start_t + i (1-based).
     for t in range(residuals.start_t + 1, fitted.size + 1):
-        z_prev = residuals.values[t - residuals.start_t - 1]
-        out[t - 1] = fitted[t - 1] + expected_drift(fm, z_prev) * actual[t - 2]
+        mu = fuzzy_memberships(residuals.values[t - residuals.start_t - 1], fm.partition)
+        out[t - 1] = fitted[t - 1] + float(mu @ state_drift) * actual[t - 2]
     return out

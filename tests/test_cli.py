@@ -14,10 +14,22 @@ import pytest
 import greycast
 import greycast.cli.models as cli_models
 import greycast.errors
-from greycast import CsvParseError, DataError, TrainConfig, fit_gm11, forecast_gm11
-from greycast.cli.config import PipelineConfig, load_config
+from greycast import (
+    CsvParseError,
+    DataError,
+    StatePartition,
+    TrainConfig,
+    expected_drift,
+    fit_dgm,
+    fit_gm11,
+    forecast_dgm,
+    forecast_gm11,
+    fuzzy_transition_matrix,
+    relative_residuals,
+)
+from greycast.cli.config import READS, PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
-from greycast.cli.main import _CONFIG_FLAGS, _READS, _config_from_args, build_parser, main
+from greycast.cli.main import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
 from conftest import PUBLISHED_COUNTS, PUBLISHED_OCCUPANCY
 
@@ -161,6 +173,23 @@ def test_fit_then_forecast_round_trip(tmp_path, kind):
                      "--horizon", "3", "--config", str(config)]) == 0
         report = json.loads(report_path.read_text())
         np.testing.assert_allclose(report["forecast"]["hybrid"], got, rtol=1e-15)
+
+
+def test_dgm_fmarkov_forecast_corrects_only_its_first_step():
+    # Pins the multi-step path as it stands: step 1 adds the expected drift
+    # from the last residual, and steps 2..h are the raw DGM forecast.
+    values = synthetic_series(120, seed=3)
+    horizon = 12
+    dgm = fit_dgm(values)
+    raw = forecast_dgm(dgm, horizon)[dgm.n_fit :]
+    residuals = relative_residuals(values, forecast_dgm(dgm, 1)[: dgm.n_fit]).values
+    fm = fuzzy_transition_matrix(residuals, StatePartition.default())
+    step_one = raw[0] + expected_drift(fm, residuals[-1]) * values[-1]
+    fit = cli_models.fit_model("dgm_fmarkov", values, PipelineConfig())
+    loaded = cli_models.model_from_doc(json.loads(json.dumps(fit.to_doc())))
+    for out in (fit.forecast(horizon), loaded.forecast(horizon)):
+        assert out[0] == step_one and out[0] != raw[0]
+        assert out[1:].tobytes() == raw[1:].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -701,17 +730,17 @@ _OWN_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", list(_READS))
+@pytest.mark.parametrize("command", list(READS))
 def test_help_lists_the_config_flags_the_subcommand_reads(capsys, command):
     assert main([command, "--help"]) == 0
     listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
-    config_flags = [_CONFIG_FLAGS[name][0] for name in _READS[command]]
+    config_flags = [_CONFIG_FLAGS[name][0] for name in READS[command]]
     assert set(listed) == {"--help", "--config", *config_flags, *_OWN_FLAGS[command]}
 
 
 def test_load_config_reads_back_an_echoed_config(tmp_path):
+    # every field but model, which neither echoing command reads
     cfg = PipelineConfig(
-        model="sgnn",
         state_boundaries=(-0.2, 0.0, 0.1, 0.3),
         window=3,
         train=TrainConfig(learning_rate=0.2, epochs=7, seed=4, shuffle=False),
@@ -723,8 +752,65 @@ def test_load_config_reads_back_an_echoed_config(tmp_path):
         seed=9,
     )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.echo()))
-    assert load_config(str(path), {}) == cfg
+    for command in ("hybrid", "backtest"):
+        path.write_text(json.dumps(cfg.echo(command)))
+        assert load_config(str(path), {}) == cfg
+
+
+@pytest.mark.parametrize("command", ["hybrid", "backtest"])
+def test_report_echoes_only_the_fields_its_command_reads(tmp_path, capsys, command):
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(40, seed=3))
+    report_path = tmp_path / "r.json"
+    flags = ["--folds", "2", "--horizon", "3"] if command == "backtest" else []
+    assert main([command, "--input", str(data), "--out", str(report_path),
+                 "--components", "dgm,gm", *flags]) == 0
+    echoed = json.loads(report_path.read_text())["config"]
+    assert list(echoed) == [f.name for f in fields(PipelineConfig)
+                            if f.name in (*READS[command], "train")]
+    assert "model" not in echoed
+    capsys.readouterr()
+    assert main(["report", "--input", str(report_path)]) == 0
+    config_line = capsys.readouterr().out.splitlines()[1]
+    assert config_line == "  config: scheme=grey_relation combine=arithmetic horizon=" + (
+        "3 seed=0" if command == "backtest" else "1 seed=0")
+
+
+def test_report_prints_only_the_config_fields_it_holds(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({"command": "hybrid", "config": {"model": "gm", "seed": 4}}))
+    assert main(["report", "--input", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "  config: model=gm seed=4"
+
+
+# Each subcommand with one flag cut to a prefix; argparse accepts any
+# unambiguous prefix unless told not to.
+_ABBREVIATED = {
+    "synth": ["synth", "--out", "{tmp}/x.csv", "--se", "3"],
+    "fit": ["fit", "--mod", "gm", "--input", "{data}", "--out", "{tmp}/x.json"],
+    "forecast": ["forecast", "--input", "{tmp}/m.json", "--out", "{tmp}/x.csv", "--hor", "3"],
+    "markov-test": ["markov-test", "--input", "{data}", "--out", "{tmp}/x.json", "--mod", "gm"],
+    "hybrid": ["hybrid", "--input", "{data}", "--out", "{tmp}/x.json", "--forecast-out",
+               "{tmp}/x.csv", "--comp", "dgm,gm", "--sch", "simplex_ls"],
+    "backtest": ["backtest", "--input", "{data}", "--out", "{tmp}/x.json", "--fold", "2",
+                 "--components", "dgm,gm"],
+    "report": ["report", "--input", "{tmp}/m.json", "--in", "{tmp}/m.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_ABBREVIATED))
+def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, command):
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(30, seed=9))
+    assert main(["fit", "--model", "gm", "--input", str(data),
+                 "--out", str(tmp_path / "m.json")]) == 0
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path, data=data) for a in _ABBREVIATED[command]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: --") and err.count("\n") == 1, err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_flags_override_config_file(tmp_path):

@@ -10,6 +10,7 @@ from greycast import (
     optimize_initial,
     simulate_dgm,
 )
+from greycast.cli.synth import synthetic_series
 
 
 def oracle_simulate(beta, xi, n):
@@ -156,3 +157,49 @@ def test_gradient_vanishes_at_optimum():
 def test_simulate_agrees_with_oracle():
     out = simulate_dgm(GEN_BETA, GEN_XI, 15)
     assert np.allclose(out, oracle_simulate(GEN_BETA, GEN_XI, 15), atol=1e-10)
+
+
+def reference_coefficients(beta, n):
+    """The joint (d, c) loop optimize_initial once ran: simulated
+    x0[k] = d[k] + c[k]*xi, with the recursion carried symbolically in xi."""
+    b1, b2, b3, b4 = (float(v) for v in beta)
+    d = np.empty(n)
+    c = np.empty(n)
+    d[0], c[0] = 0.0, 1.0
+    d1_prev, c1_prev = 0.0, 1.0
+    d0_cur, c0_cur = 0.0, 1.0
+    for k in range(1, n):
+        d1_next = b1 * d1_prev + b2 * d0_cur + b3 * k + b4
+        c1_next = b1 * c1_prev + b2 * c0_cur
+        d0_cur = d1_next - d1_prev
+        c0_cur = c1_next - c1_prev
+        d[k], c[k] = d0_cur, c0_cur
+        d1_prev, c1_prev = d1_next, c1_next
+    return d, c
+
+
+def reference_optimize_initial(beta, values):
+    d, c = reference_coefficients(beta, values.size)
+    denom = float(np.dot(c, c))
+    if denom == 0.0:
+        return float(values[0]), 0.0, True
+    return float(np.dot(c, values - d) / denom), 2.0 * denom, False
+
+
+def test_optimize_initial_matches_the_coefficient_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for seed in range(300):
+        n = int(rng.integers(5, 401))
+        values = synthetic_series(n, seed=seed)
+        beta = fit_dgm(values).beta
+        best = optimize_initial(beta, values)
+        assert (best.xi, best.curvature, best.degenerate) == reference_optimize_initial(beta, values)
+    values = oracle_simulate(GEN_BETA, GEN_XI, 30)
+    for beta in (GEN_BETA, (0.0, 0.0, 1.5, 2.0), (1.0, -1.0, 0.0, 0.0), (0.9, 0.3, -0.2, 5.0)):
+        best = optimize_initial(beta, values)
+        assert (best.xi, best.curvature, best.degenerate) == reference_optimize_initial(beta, values)
+
+
+def test_optimize_initial_on_an_explosive_recursion_names_the_step():
+    with pytest.raises(RecursionOverflowError, match="overflowed at step"):
+        optimize_initial((10.0, 0.0, 0.0, 1.0), np.ones(400))

@@ -16,11 +16,15 @@ from greycast import (
     expected_drift,
     fmarkov_correct,
     fuzzy_memberships,
+    fit_dgm,
+    forecast_dgm,
     fuzzy_transition_matrix,
     marginal_distribution,
     markov_property_test,
+    relative_residuals,
     transition_probabilities,
 )
+from greycast.cli.synth import synthetic_series
 from conftest import PUBLISHED_COUNTS, PUBLISHED_OCCUPANCY, PUBLISHED_TOTAL
 
 
@@ -398,3 +402,44 @@ def test_expected_drift_concentrated_row():
     fm = crisp_model(p, row_state=5, probs_row=[0, 0, 0, 0, 0, 1])
     # state-5 midpoint input, row 5 sends everything to state 6 (mid 0.0575)
     assert math.isclose(expected_drift(fm, 0.0175), 0.0575, rel_tol=1e-12)
+
+
+def criterion_08_series():
+    """Acceptance criterion 08's (fitted, actual): every residual sits on a
+    state midpoint of the default partition."""
+    rng = np.random.default_rng(104)
+    rng.uniform(-0.2, 0.2, size=10_000)  # the membership draws criterion 08 makes first
+    mids = default_partition().midpoints
+    n = 60
+    actual = 100.0 + rng.normal(0, 1.0, size=n)
+    states = rng.integers(1, 7, size=n - 1)
+    fitted = actual.copy()
+    fitted[1:] = actual[1:] - mids[states - 1] * actual[:-1]
+    return fitted, actual
+
+
+def dgm_series(seed):
+    """A 278-point synthetic series and its DGM fit, as dgm_fmarkov fits it."""
+    actual = synthetic_series(278, seed=seed)
+    model = fit_dgm(actual)
+    return forecast_dgm(model, 1)[: model.n_fit], actual
+
+
+@pytest.mark.parametrize("case", ["criterion_08", 1, 2, 3, 4])
+def test_correction_equals_the_per_point_reference_bit_for_bit(case):
+    fitted, actual = criterion_08_series() if case == "criterion_08" else dgm_series(case)
+    p = default_partition()
+    z = relative_residuals(actual, fitted).values  # z[i] is Z at 1-based time i + 2
+    fm = fuzzy_transition_matrix(z, p)
+    expected = fitted.copy()
+    for t in range(2, fitted.size):  # 0-based; Z at t - 1 is z[t - 2]
+        mu = fuzzy_memberships(z[t - 2], p)
+        expected[t] = fitted[t] + float(mu @ (fm.fuzzy_probs @ fm.midpoints)) * actual[t - 1]
+    assert fmarkov_correct(fitted, actual, fm).tobytes() == expected.tobytes()
+
+
+def test_partition_midpoints_are_computed_once_and_read_only():
+    p = default_partition()
+    assert p.midpoints is p.midpoints
+    with pytest.raises(ValueError, match="read-only"):
+        p.midpoints[0] = 0.0
