@@ -3,10 +3,12 @@
 Every adapter exposes the same small surface — ``kind``, ``start_t`` (the
 1-based time of its first in-sample value), ``fitted``, ``forecast(h)``
 and ``to_doc()`` — so the hybrid assembly and the backtest can treat all
-model kinds uniformly.  Fitting goes through the :data:`FITTERS` registry,
-whose entries fit one model to each series of a list (the networks of all
-those fits train together), and which tests may wrap to observe exactly
-what data each fit saw.
+model kinds uniformly.  Each kind is one :class:`Kind` record: the base
+kinds are :data:`KINDS` and the hybrid is :data:`HYBRID`.  Fitting goes
+through the :data:`FITTERS` registry, built from those records, whose
+entries fit one model to each series of a list (the networks of all those
+fits train together), and which tests may wrap to observe exactly what
+data each fit saw.
 
 Forecasts have one path: ``forecast(h)`` rebuilds the model from its
 ``to_doc()`` through :func:`model_from_doc`, the same code that
@@ -17,6 +19,7 @@ forecast alike by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +27,7 @@ from ..dgm import DgmModel, fit_dgm, forecast_dgm
 from ..errors import ConfigError, DataError
 from ..gm import GmModel, fit_gm11, forecast_gm11
 from ..hybrid import (
+    COMBINE_SCHEMES,
     HybridWeights,
     RelationConfig,
     SCHEME_EFFECTIVE,
@@ -66,6 +70,7 @@ from ..neural import (
 )
 from ..series import as_values, relative_residuals
 from .config import PipelineConfig
+from .docspec import check_keys
 
 SCHEMA_VERSION = 1
 DEFAULT_COMPONENTS = ("dgm_fmarkov", "ignn")
@@ -86,12 +91,85 @@ class FittedModel:
         return dict(self._doc)
 
 
+@dataclass
+class LoadedModel:
+    kind: str
+    n_fit: int
+    _forecast: callable = field(repr=False)
+
+    def forecast(self, horizon: int) -> np.ndarray:
+        return self._forecast(horizon)
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One model kind: its CLI ``name``; the tag its docs carry (``doc_kind``,
+    plus ``variant`` for a net); its batch ``fit``; its doc ``keys`` spec
+    (see :mod:`.docspec`); its ``check`` of fields that must agree, run once
+    the keys hold; and its ``load``, which maps a checked doc, and the loaded
+    models of its components (a hybrid's only), to the forecast function.
+    Functions that a benchmark span wraps (``fit_dgm``, ...) are never held
+    here: the record's own functions call them through the module globals."""
+
+    name: str
+    doc_kind: str
+    fit: Callable | None
+    keys: dict
+    load: Callable
+    check: Callable[[dict], None] = lambda doc: None
+    variant: str | None = None
+
+    def fitted_model(self, start_t, fitted, body: dict, markov_report=None) -> FittedModel:
+        """A fit of this kind; its doc is the kind's tag, then ``body``."""
+        doc = {"schema_version": SCHEMA_VERSION, "kind": self.doc_kind}
+        if self.variant is not None:
+            doc["variant"] = self.variant
+        doc.update(body)
+        return FittedModel(self.name, start_t, fitted, doc, markov_report)
+
+
+def _each(fit_one):
+    """A batch fitter that fits each series on its own."""
+
+    def fit_all(series, cfg: PipelineConfig) -> list[FittedModel]:
+        return [fit_one(values, cfg) for values in series]
+
+    return fit_all
+
+
+# Key specs that several kinds' ``keys`` share.
+_HEADER = {"schema_version": "int", "kind": "string"}
+_SCALER_KEYS = {"scale": "number", "offset": "number"}
+_GM_KEYS = {"a": "number", "u": "number", "x0_first": "number", "n_fit": "count"}
+_DGM_KEYS = {"beta": ["number"] * 4, "xi": "number", "n_fit": "count"}
+_NET_KEYS = {
+    "layer_sizes": ["int"],
+    "weights": ["matrix"],
+    "biases": [["number"]],
+    "input_scaler": _SCALER_KEYS,
+    "output_scaler": _SCALER_KEYS,
+}
+
+
 def _gm_doc(m: GmModel) -> dict:
     return {"a": m.a, "u": m.u, "x0_first": m.x0_first, "n_fit": m.n_fit}
 
 
 def _gm_from_doc(doc: dict) -> GmModel:
     return GmModel(a=doc["a"], u=doc["u"], x0_first=doc["x0_first"], n_fit=doc["n_fit"])
+
+
+def _fit_gm(values, cfg: PipelineConfig) -> FittedModel:
+    model = fit_gm11(values)
+    return GM.fitted_model(1, forecast_gm11(model, 1)[: model.n_fit], _gm_doc(model))
+
+
+def _load_gm(doc: dict):
+    model = _gm_from_doc(doc)
+    return lambda h: forecast_gm11(model, h)[model.n_fit :]
+
+
+GM = Kind("gm", "gm", _each(_fit_gm), {**_HEADER, **_GM_KEYS}, _load_gm)
 
 
 def _dgm_doc(m: DgmModel) -> dict:
@@ -102,24 +180,17 @@ def _dgm_from_doc(doc: dict) -> DgmModel:
     return DgmModel(beta=np.asarray(doc["beta"]), xi=doc["xi"], n_fit=doc["n_fit"])
 
 
-def _fit_gm(values, cfg: PipelineConfig) -> FittedModel:
-    model = fit_gm11(values)
-    return FittedModel(
-        kind="gm",
-        start_t=1,
-        fitted=forecast_gm11(model, 1)[: model.n_fit],
-        _doc={"schema_version": SCHEMA_VERSION, "kind": "gm", **_gm_doc(model)},
-    )
-
-
 def _fit_dgm(values, cfg: PipelineConfig) -> FittedModel:
     model = fit_dgm(values)
-    return FittedModel(
-        kind="dgm",
-        start_t=1,
-        fitted=forecast_dgm(model, 1)[: model.n_fit],
-        _doc={"schema_version": SCHEMA_VERSION, "kind": "dgm", **_dgm_doc(model)},
-    )
+    return DGM.fitted_model(1, forecast_dgm(model, 1)[: model.n_fit], _dgm_doc(model))
+
+
+def _load_dgm(doc: dict):
+    model = _dgm_from_doc(doc)
+    return lambda h: forecast_dgm(model, h)[model.n_fit :]
+
+
+DGM = Kind("dgm", "dgm", _each(_fit_dgm), {**_HEADER, **_DGM_KEYS}, _load_dgm)
 
 
 def _markov_summary(residuals, partition: StatePartition, cfg: PipelineConfig):
@@ -143,24 +214,65 @@ def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
         markov_report = _markov_summary(residuals.values, partition, cfg)
     except ConfigError:
         markov_report = None  # no embedded critical value for this state count
-    return FittedModel(
-        kind="dgm_fmarkov",
-        start_t=1,
-        fitted=corrected,
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fmarkov",
-            "dgm": _dgm_doc(dgm_model),
-            "boundaries": [float(b) for b in partition.boundaries],
-            "fuzzy_counts": fm.fuzzy_counts.tolist(),
-            "fuzzy_probs": fm.fuzzy_probs.tolist(),
-            "degenerate_rows": [bool(v) for v in fm.degenerate_rows],
-            "last_residual": float(residuals.values[-1]),
-            "last_actual": float(values[-1]),
-            "n_fit": dgm_model.n_fit,
-        },
-        markov_report=markov_report,
+    body = {
+        "dgm": _dgm_doc(dgm_model),
+        "boundaries": [float(b) for b in partition.boundaries],
+        "fuzzy_counts": fm.fuzzy_counts.tolist(),
+        "fuzzy_probs": fm.fuzzy_probs.tolist(),
+        "degenerate_rows": [bool(v) for v in fm.degenerate_rows],
+        "last_residual": float(residuals.values[-1]),
+        "last_actual": float(values[-1]),
+        "n_fit": dgm_model.n_fit,
+    }
+    return DGM_FMARKOV.fitted_model(1, corrected, body, markov_report)
+
+
+def _check_fmarkov(doc: dict) -> None:
+    k = len(doc["boundaries"]) - 1
+    for key in ("fuzzy_counts", "fuzzy_probs"):
+        if len(doc[key]) != k or len(doc[key][0]) != k:
+            raise DataError(
+                f"model document field {key!r} must be {k} x {k}, "
+                f"one row and column per state of 'boundaries'"
+            )
+    if len(doc["degenerate_rows"]) != k:
+        raise DataError(
+            f"model document field 'degenerate_rows' must hold {k} entries, "
+            f"one per state of 'boundaries'"
+        )
+    if doc["dgm"]["n_fit"] != doc["n_fit"]:
+        raise DataError(
+            f"model document field 'dgm.n_fit' ({doc['dgm']['n_fit']}) "
+            f"must equal 'n_fit' ({doc['n_fit']})"
+        )
+
+
+def _load_fmarkov(doc: dict):
+    dgm_model = _dgm_from_doc(doc["dgm"])
+    partition = StatePartition(np.asarray(doc["boundaries"]))
+    fm = FuzzyMarkovModel(
+        partition=partition,
+        fuzzy_counts=np.asarray(doc["fuzzy_counts"]),
+        fuzzy_probs=np.asarray(doc["fuzzy_probs"]),
+        midpoints=partition.midpoints,
+        degenerate_rows=np.asarray(doc["degenerate_rows"], dtype=bool),
     )
+    z_last, y_last = doc["last_residual"], doc["last_actual"]
+
+    def forecast(horizon):
+        raw = forecast_dgm(dgm_model, horizon)[dgm_model.n_fit :]
+        out = raw.copy()
+        out[0] = raw[0] + expected_drift(fm, z_last) * y_last
+        return out
+
+    return forecast
+
+
+DGM_FMARKOV = Kind("dgm_fmarkov", "fmarkov", _each(_fit_dgm_fmarkov), {
+    **_HEADER, "dgm": _DGM_KEYS, "boundaries": ["number"], "fuzzy_counts": "matrix",
+    "fuzzy_probs": "matrix", "degenerate_rows": ["bool"], "last_residual": "number",
+    "last_actual": "number", "n_fit": "count",
+}, _load_fmarkov, _check_fmarkov)
 
 
 def _scaler_doc(s: AffineScaler) -> dict:
@@ -188,25 +300,29 @@ def _net_from_doc(doc: dict) -> FeedforwardNet:
 
 
 def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
-    forecasters = ignn_fit_batch(series, window=cfg.window, cfg=cfg.train)
-    return [_ignn_model(forecaster, cfg) for forecaster in forecasters]
+    return [
+        IGNN.fitted_model(cfg.window + 1, ignn_fitted(f), {
+            "net": _net_doc(f.net), "window": f.window,
+            "ago_tail": f.ago_values[-f.window :].tolist(), "n_fit": f.n_fit,
+        })
+        for f in ignn_fit_batch(series, window=cfg.window, cfg=cfg.train)
+    ]
 
 
-def _ignn_model(forecaster: IgnnForecaster, cfg: PipelineConfig) -> FittedModel:
-    return FittedModel(
-        kind="ignn",
-        start_t=cfg.window + 1,
-        fitted=ignn_fitted(forecaster),
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "net",
-            "variant": "ignn",
-            "net": _net_doc(forecaster.net),
-            "window": forecaster.window,
-            "ago_tail": forecaster.ago_values[-forecaster.window :].tolist(),
-            "n_fit": forecaster.n_fit,
-        },
+def _load_ignn(doc: dict):
+    forecaster = IgnnForecaster(
+        net=_net_from_doc(doc["net"]),
+        window=doc["window"],
+        ago_values=np.asarray(doc["ago_tail"]),
+        n_fit=doc["n_fit"],
     )
+    return lambda h: ignn_forecast(forecaster, h)
+
+
+IGNN = Kind("ignn", "net", _fit_ignn, {
+    **_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count",
+    "window": "count", "ago_tail": ["number"],
+}, _load_ignn, variant="ignn")
 
 
 def _sgnn_windows(n: int) -> list[int]:
@@ -218,25 +334,36 @@ def _sgnn_windows(n: int) -> list[int]:
 def _fit_sgnn(series, cfg: PipelineConfig) -> list[FittedModel]:
     series = [as_values(values) for values in series]
     windows = [_sgnn_windows(values.size) for values in series]
-    forecasters = sgnn_fit_batch(series, windows, cfg=cfg.train)
-    return [_sgnn_model(forecaster) for forecaster in forecasters]
+    return [
+        SGNN.fitted_model(f.eval_start, sgnn_fitted(f), {
+            "net": _net_doc(f.net), "gm_models": [_gm_doc(m) for m in f.gm_models],
+            "offsets": list(f.offsets), "n_fit": f.n_fit,
+        })
+        for f in sgnn_fit_batch(series, windows, cfg=cfg.train)
+    ]
 
 
-def _sgnn_model(forecaster: SgnnForecaster) -> FittedModel:
-    return FittedModel(
-        kind="sgnn",
-        start_t=forecaster.eval_start,
-        fitted=sgnn_fitted(forecaster),
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "net",
-            "variant": "sgnn",
-            "net": _net_doc(forecaster.net),
-            "gm_models": [_gm_doc(m) for m in forecaster.gm_models],
-            "offsets": list(forecaster.offsets),
-            "n_fit": forecaster.n_fit,
-        },
+def _check_sgnn(doc: dict) -> None:
+    if len(doc["offsets"]) != len(doc["gm_models"]):
+        raise DataError(
+            "model document field 'offsets' must hold one entry per entry of 'gm_models'"
+        )
+
+
+def _load_sgnn(doc: dict):
+    forecaster = SgnnForecaster(
+        net=_net_from_doc(doc["net"]),
+        gm_models=[_gm_from_doc(m) for m in doc["gm_models"]],
+        offsets=list(doc["offsets"]),
+        n_fit=doc["n_fit"],
     )
+    return lambda h: sgnn_forecast(forecaster, h)
+
+
+SGNN = Kind("sgnn", "net", _fit_sgnn, {
+    **_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count",
+    "gm_models": [_GM_KEYS], "offsets": ["int"],
+}, _load_sgnn, _check_sgnn, variant="sgnn")
 
 
 def compute_weights(actual, predictions, cfg: PipelineConfig) -> HybridWeights:
@@ -292,20 +419,60 @@ def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> F
     fits, start, actual, predictions, weights, combined = assemble_hybrid(
         values, cfg, components
     )
-    return FittedModel(
-        kind="hybrid",
-        start_t=start,
-        fitted=combined,
-        _doc={
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hybrid",
-            "scheme": weights.scheme,
-            "combine": cfg.combine,
-            "weights": [float(w) for w in weights.weights],
-            "diagnostics": weights.diagnostics,
-            "components": [f.to_doc() for f in fits],
-        },
-    )
+    return HYBRID.fitted_model(start, combined, {
+        "scheme": weights.scheme,
+        "combine": cfg.combine,
+        "weights": [float(w) for w in weights.weights],
+        "diagnostics": weights.diagnostics,
+        "components": [f.to_doc() for f in fits],
+    })
+
+
+def _check_hybrid(doc: dict) -> None:
+    """What ties the components together; each is loaded, and so checked, first."""
+    components = doc["components"]
+    n_fit = components[0]["n_fit"]
+    for i, component in enumerate(components):
+        if component["n_fit"] != n_fit:
+            raise DataError(
+                f"model document field 'components[{i}].n_fit' ({component['n_fit']}) "
+                f"must equal 'components[0].n_fit' ({n_fit}): all fit one series"
+            )
+    if len(doc["weights"]) != len(components):
+        raise DataError(
+            f"model document field 'weights' must hold {len(components)} entries, "
+            f"one per entry of 'components'"
+        )
+    if doc["combine"] not in COMBINE_SCHEMES:
+        raise DataError(
+            f"model document field 'combine' must be one of {COMBINE_SCHEMES}, "
+            f"got {doc['combine']!r}"
+        )
+
+
+def _load_hybrid(doc: dict, *parts: LoadedModel):
+    weights = np.asarray(doc["weights"], dtype=float)
+    combine = doc["combine"]
+    return lambda h: combine_forecasts([p.forecast(h) for p in parts], weights, combine)
+
+
+#: The hybrid fits through :func:`fit_model` with its components, not FITTERS.
+HYBRID = Kind("hybrid", "hybrid", None, {
+    **_HEADER, "scheme": "string", "combine": "string", "weights": ["number"],
+    "diagnostics": "object", "components": ["object"],
+}, _load_hybrid, _check_hybrid)
+
+#: The base kinds, in the CLI's order; ``config.MODELS`` is these and "hybrid".
+KINDS = (GM, DGM, DGM_FMARKOV, IGNN, SGNN)
+
+#: Fit dispatch: kind -> fitter(list of series, cfg) -> list of fits.
+#: Tests may wrap entries to instrument what data a fit sees.
+FITTERS = {record.name: record.fit for record in KINDS}
+
+#: Doc "kind" -> record; the records of a "net" doc are told apart by its
+#: "variant".
+_BY_DOC_KIND = {r.doc_kind: r for r in (*KINDS, HYBRID) if r.variant is None}
+_NETS = {r.variant: r for r in KINDS if r.doc_kind == "net"}
 
 
 def components_markov_report(fits) -> MarkovTestReport | None:
@@ -317,26 +484,6 @@ def components_markov_report(fits) -> MarkovTestReport | None:
     return next((f.markov_report for f in fits if f.markov_report is not None), None)
 
 
-def _each(fit_one):
-    """A batch fitter that fits each series on its own."""
-
-    def fit_all(series, cfg: PipelineConfig) -> list[FittedModel]:
-        return [fit_one(values, cfg) for values in series]
-
-    return fit_all
-
-
-#: Fit dispatch: kind -> fitter(list of series, cfg) -> list of fits.
-#: Tests may wrap entries to instrument what data a fit sees.
-FITTERS = {
-    "gm": _each(_fit_gm),
-    "dgm": _each(_fit_dgm),
-    "dgm_fmarkov": _each(_fit_dgm_fmarkov),
-    "ignn": _fit_ignn,
-    "sgnn": _fit_sgnn,
-}
-
-
 def fit_models(kind: str, series, cfg: PipelineConfig) -> list[FittedModel]:
     """One base model of ``kind`` per series, in one fitter call."""
     if kind not in FITTERS:
@@ -345,147 +492,9 @@ def fit_models(kind: str, series, cfg: PipelineConfig) -> list[FittedModel]:
 
 
 def fit_model(kind: str, values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
-    if kind == "hybrid":
+    if kind == HYBRID.name:
         return _fit_hybrid(values, cfg, components)
     return fit_models(kind, [values], cfg)[0]
-
-
-# ---------------------------------------------------------------------------
-# Forecasts: every model, fitted here or loaded from a file, forecasts
-# through its doc.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class LoadedModel:
-    kind: str
-    n_fit: int
-    _forecast: callable = field(repr=False)
-
-    def forecast(self, horizon: int) -> np.ndarray:
-        return self._forecast(horizon)
-
-
-# What each model document must hold, per kind and, for nets, per variant.
-# A dict names the keys of a JSON object and what each value must hold in
-# turn; the object may hold no other key.  A one-element list is a non-empty
-# JSON list whose items each match that element; a longer list is a JSON
-# list of exactly that many items, each matching the element in its place.
-# A string names a leaf: "int", "count" (an integer of at least 1),
-# "number", "string", "bool", "object" (any JSON object), or "matrix" (a
-# non-empty list of equal-length lists of numbers).  Sizes that tie one
-# field to another are checked by :func:`_check_sizes`.
-_SCALER_KEYS = {"scale": "number", "offset": "number"}
-_GM_KEYS = {"a": "number", "u": "number", "x0_first": "number", "n_fit": "count"}
-_DGM_KEYS = {"beta": ["number"] * 4, "xi": "number", "n_fit": "count"}
-_NET_KEYS = {
-    "layer_sizes": ["int"],
-    "weights": ["matrix"],
-    "biases": [["number"]],
-    "input_scaler": _SCALER_KEYS,
-    "output_scaler": _SCALER_KEYS,
-}
-_HEADER = {"schema_version": "int", "kind": "string"}
-_NET_COMMON = {**_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count"}
-_DOC_KEYS = {
-    "gm": {**_HEADER, **_GM_KEYS},
-    "dgm": {**_HEADER, **_DGM_KEYS},
-    "fmarkov": {
-        **_HEADER,
-        "dgm": _DGM_KEYS,
-        "boundaries": ["number"],
-        "fuzzy_counts": "matrix",
-        "fuzzy_probs": "matrix",
-        "degenerate_rows": ["bool"],
-        "last_residual": "number",
-        "last_actual": "number",
-        "n_fit": "count",
-    },
-    "hybrid": {
-        **_HEADER,
-        "scheme": "string",
-        "combine": "string",
-        "weights": ["number"],
-        "diagnostics": "object",
-        "components": ["object"],
-    },
-}
-_NET_DOC_KEYS = {
-    "ignn": {**_NET_COMMON, "window": "count", "ago_tail": ["number"]},
-    "sgnn": {**_NET_COMMON, "gm_models": [_GM_KEYS], "offsets": ["int"]},
-}
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-_LEAVES = {
-    "int": ("an integer", _is_int),
-    "count": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
-    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    "string": ("a string", lambda v: isinstance(v, str)),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "object": ("a JSON object", lambda v: isinstance(v, dict)),
-}
-
-
-def _check_keys(node, keys, path: str) -> None:
-    if keys == "matrix":
-        _check_keys(node, [["number"]], path)
-        if len({len(row) for row in node}) > 1:
-            raise DataError(f"model document field {path!r} must have rows of equal length")
-        return
-    if isinstance(keys, str):
-        what, holds = _LEAVES[keys]
-        if not holds(node):
-            raise DataError(f"model document field {path!r} must be {what}")
-        return
-    if isinstance(keys, list):
-        if not isinstance(node, list) or not node:
-            raise DataError(f"model document field {path!r} must be a non-empty JSON list")
-        if len(keys) > 1 and len(node) != len(keys):
-            raise DataError(f"model document field {path!r} must hold {len(keys)} entries")
-        for i, item in enumerate(node):
-            _check_keys(item, keys[i % len(keys)], f"{path}[{i}]")
-        return
-    if not isinstance(node, dict):
-        raise DataError(f"model document field {path!r} must be a JSON object")
-    for key, sub in keys.items():
-        where = f"{path}.{key}" if path else key
-        if key not in node:
-            raise DataError(f"model document is missing key {where!r}")
-        _check_keys(node[key], sub, where)
-    extra = sorted(set(node) - set(keys))
-    if extra:
-        where = f"{path}.{extra[0]}" if path else extra[0]
-        raise DataError(f"model document has unknown key {where!r}")
-
-
-def _check_sizes(doc: dict) -> None:
-    """Sizes that tie one field of a document to another, keys already checked."""
-    if doc["kind"] == "fmarkov":
-        k = len(doc["boundaries"]) - 1
-        for key in ("fuzzy_counts", "fuzzy_probs"):
-            if len(doc[key]) != k or len(doc[key][0]) != k:
-                raise DataError(
-                    f"model document field {key!r} must be {k} x {k}, "
-                    f"one row and column per state of 'boundaries'"
-                )
-        if len(doc["degenerate_rows"]) != k:
-            raise DataError(
-                f"model document field 'degenerate_rows' must hold {k} entries, "
-                f"one per state of 'boundaries'"
-            )
-    if doc.get("variant") == "sgnn" and len(doc["offsets"]) != len(doc["gm_models"]):
-        raise DataError(
-            "model document field 'offsets' must hold one entry per entry of 'gm_models'"
-        )
-
-
-def _fmarkov_forecast(dgm_model, fm, z_last, y_last, horizon):
-    raw = forecast_dgm(dgm_model, horizon)[dgm_model.n_fit :]
-    out = raw.copy()
-    out[0] = raw[0] + expected_drift(fm, z_last) * y_last
-    return out
 
 
 def model_from_doc(doc: dict) -> LoadedModel:
@@ -496,59 +505,16 @@ def model_from_doc(doc: dict) -> LoadedModel:
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
     kind = doc["kind"]
-    table, name = (_NET_DOC_KEYS, doc.get("variant")) if kind == "net" else (_DOC_KEYS, kind)
+    table, name = (_NETS, doc.get("variant")) if kind == "net" else (_BY_DOC_KIND, kind)
     if not isinstance(name, str) or name not in table:
         raise DataError(f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}")
-    _check_keys(doc, table[name], "")
-    _check_sizes(doc)
-    if kind == "gm":
-        model = _gm_from_doc(doc)
-        return LoadedModel("gm", model.n_fit, lambda h: forecast_gm11(model, h)[model.n_fit :])
-    if kind == "dgm":
-        model = _dgm_from_doc(doc)
-        return LoadedModel("dgm", model.n_fit, lambda h: forecast_dgm(model, h)[model.n_fit :])
-    if kind == "fmarkov":
-        dgm_model = _dgm_from_doc(doc["dgm"])
-        partition = StatePartition(np.asarray(doc["boundaries"]))
-        fm = FuzzyMarkovModel(
-            partition=partition,
-            fuzzy_counts=np.asarray(doc["fuzzy_counts"]),
-            fuzzy_probs=np.asarray(doc["fuzzy_probs"]),
-            midpoints=partition.midpoints,
-            degenerate_rows=np.asarray(doc["degenerate_rows"], dtype=bool),
-        )
-        z_last, y_last = doc["last_residual"], doc["last_actual"]
-        return LoadedModel(
-            "dgm_fmarkov",
-            doc["n_fit"],
-            lambda h: _fmarkov_forecast(dgm_model, fm, z_last, y_last, h),
-        )
-    if kind == "net":
-        net = _net_from_doc(doc["net"])
-        if doc["variant"] == "ignn":
-            forecaster = IgnnForecaster(
-                net=net,
-                window=doc["window"],
-                ago_values=np.asarray(doc["ago_tail"]),
-                n_fit=doc["n_fit"],
-            )
-            return LoadedModel("ignn", doc["n_fit"], lambda h: ignn_forecast(forecaster, h))
-        forecaster = SgnnForecaster(
-            net=net,
-            gm_models=[_gm_from_doc(m) for m in doc["gm_models"]],
-            offsets=list(doc["offsets"]),
-            n_fit=doc["n_fit"],
-        )
-        return LoadedModel("sgnn", doc["n_fit"], lambda h: sgnn_forecast(forecaster, h))
-    parts = [model_from_doc(sub) for sub in doc["components"]]  # a hybrid
-    weights = np.asarray(doc["weights"], dtype=float)
-    combine = doc["combine"]
-
-    def forecast(h):
-        columns = [p.forecast(h) for p in parts]
-        return combine_forecasts(columns, weights, combine)
-
-    return LoadedModel("hybrid", max(p.n_fit for p in parts), forecast)
+    record = table[name]
+    check_keys(doc, record.keys)
+    # Only a hybrid's keys admit components: docs of their own, loaded first.
+    parts = [model_from_doc(sub) for sub in doc.get("components", ())]
+    record.check(doc)
+    n_fit = parts[0].n_fit if parts else doc["n_fit"]  # the parts share one
+    return LoadedModel(record.name, n_fit, record.load(doc, *parts))
 
 
 def markov_report_doc(report: MarkovTestReport | None):

@@ -27,7 +27,7 @@ from greycast import (
     fuzzy_transition_matrix,
     relative_residuals,
 )
-from greycast.cli.config import READS, PipelineConfig, load_config
+from greycast.cli.config import MODELS, READS, PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
 from greycast.cli.main import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
@@ -484,6 +484,21 @@ _DOC_EDITS = {
     "gm_a_explosive": ("gm", ("a",), -1e300),
     # ... and where its leading factor is 0, so inf times 0 gives NaN
     "gm_a_explosive_zero_start": ("gm", (), {"a": -1e300, "u": 0.0, "x0_first": 0.0}),
+    # fields that disagree with one another (the hybrid's components are
+    # dgm_fmarkov and ignn); each forecast from the wrong origin, or failed
+    # with another exit code, until its kind's check refused it
+    "fmarkov_dgm_n_fit_other": ("dgm_fmarkov", ("dgm", "n_fit"), 5),
+    "hybrid_component_n_fit_other": ("hybrid", ("components", 1, "n_fit"), 40),
+    "hybrid_weights_short": ("hybrid", ("weights",), [1.0]),
+    "hybrid_combine_unknown": ("hybrid", ("combine",), "median"),
+}
+
+# The field that the error line of a _DOC_EDITS probe must name.
+_DOC_EDIT_FIELDS = {
+    "fmarkov_dgm_n_fit_other": "dgm.n_fit",
+    "hybrid_component_n_fit_other": "components[1].n_fit",
+    "hybrid_weights_short": "weights",
+    "hybrid_combine_unknown": "combine",
 }
 
 
@@ -626,6 +641,8 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if probe == "model_missing_key":
         assert "'a'" in err
+    if probe in _DOC_EDIT_FIELDS:
+        assert err.startswith(f"error: model document field '{_DOC_EDIT_FIELDS[probe]}' "), err
     if probe.endswith("is_directory"):
         assert "cannot read " in err
     if _REPORTS.get(probe, (None, None))[1]:
@@ -685,6 +702,58 @@ def test_model_doc_names_a_missing_nested_key(kind, path):
     del node[path[-1]]
     with pytest.raises(DataError, match=f"missing key '[^']*{path[-1]}'"):
         cli_models.model_from_doc(doc)
+
+
+def test_models_names_each_kind_record_and_hybrid():
+    # config.py cannot import cli/models.py, so it names the kinds again.
+    assert MODELS == (*(record.name for record in cli_models.KINDS), cli_models.HYBRID.name)
+
+
+def test_fitted_docs_share_one_n_fit():
+    values = synthetic_series(60, seed=2)
+    cfg = PipelineConfig(hybrid_scheme="effective_degree", train=TrainConfig(epochs=2))
+    components = tuple(record.name for record in cli_models.KINDS)
+    doc = cli_models.fit_model("hybrid", values, cfg, components).to_doc()
+    assert [part["n_fit"] for part in doc["components"]] == [60] * len(components)
+    assert doc["components"][components.index("dgm_fmarkov")]["dgm"]["n_fit"] == 60
+    assert cli_models.model_from_doc(doc).n_fit == 60
+
+
+# The names bench/spans.py times in greycast.cli.models, by the step that
+# calls them (and evaluate, which metrics_doc calls).  A record that held one of these functions itself, not a
+# function that calls it through the module global, would escape the timing
+# wrapper, and its span would read 0.
+_TIMED_NAMES = {
+    "fit": ("fit_model", "fit_gm11", "forecast_gm11", "fit_dgm", "forecast_dgm",
+            "fuzzy_transition_matrix", "fmarkov_correct", "classify_states",
+            "count_transitions", "marginal_distribution", "markov_property_test",
+            "ignn_fitted", "optimize_relation_weights", "combine_forecasts"),
+    "forecast": ("model_from_doc", "forecast_gm11", "forecast_dgm", "expected_drift",
+                 "ignn_forecast", "combine_forecasts"),
+}
+
+
+def test_kinds_call_timed_functions_through_the_module(monkeypatch):
+    called = set()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in {"evaluate", *_TIMED_NAMES["fit"], *_TIMED_NAMES["forecast"]}:
+        monkeypatch.setattr(cli_models, name, spy(name, getattr(cli_models, name)))
+    values = synthetic_series(40, seed=2)
+    cfg = PipelineConfig(train=TrainConfig(epochs=2))
+    fit = cli_models.fit_model("hybrid", values, cfg, ("gm", "dgm_fmarkov", "ignn"))
+    assert sorted(set(_TIMED_NAMES["fit"]) - called) == []
+    called.clear()
+    fit.forecast(3)
+    assert sorted(set(_TIMED_NAMES["forecast"]) - called) == []
+    called.clear()
+    cli_models.metrics_doc(values[fit.start_t - 1 :], fit.fitted)
+    assert called == {"evaluate"}
 
 
 # Each config flag, a value for it, and what it sets the field of the same
