@@ -105,9 +105,11 @@ class LoadedModel:
 class Kind:
     """One model kind: its CLI ``name``; the tag its docs carry (``doc_kind``,
     plus ``variant`` for a net); its batch ``fit``; its doc ``keys`` spec
-    (see :mod:`.docspec`); its ``check`` of fields that must agree, run once
-    the keys hold; and its ``load``, which maps a checked doc, and the loaded
-    models of its components (a hybrid's only), to the forecast function.
+    (see :mod:`.docspec`); its ``check(doc, at)`` of fields that must agree,
+    run once the keys hold, which names each field after the prefix ``at``
+    (``components[i].`` inside a hybrid, else empty); and its ``load``,
+    which maps a checked doc, and the loaded models of its components (a
+    hybrid's only), to the forecast function.
     Functions that a benchmark span wraps (``fit_dgm``, ...) are never held
     here: the record's own functions call them through the module globals."""
 
@@ -116,7 +118,7 @@ class Kind:
     fit: Callable | None
     keys: dict
     load: Callable
-    check: Callable[[dict], None] = lambda doc: None
+    check: Callable[[dict, str], None] = lambda doc, at: None
     variant: str | None = None
 
     def fitted_model(self, start_t, fitted, body: dict, markov_report=None) -> FittedModel:
@@ -227,23 +229,23 @@ def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
     return DGM_FMARKOV.fitted_model(1, corrected, body, markov_report)
 
 
-def _check_fmarkov(doc: dict) -> None:
+def _check_fmarkov(doc: dict, at: str) -> None:
     k = len(doc["boundaries"]) - 1
     for key in ("fuzzy_counts", "fuzzy_probs"):
         if len(doc[key]) != k or len(doc[key][0]) != k:
             raise DataError(
-                f"model document field {key!r} must be {k} x {k}, "
-                f"one row and column per state of 'boundaries'"
+                f"model document field '{at}{key}' must be {k} x {k}, "
+                f"one row and column per state of '{at}boundaries'"
             )
     if len(doc["degenerate_rows"]) != k:
         raise DataError(
-            f"model document field 'degenerate_rows' must hold {k} entries, "
-            f"one per state of 'boundaries'"
+            f"model document field '{at}degenerate_rows' must hold {k} entries, "
+            f"one per state of '{at}boundaries'"
         )
     if doc["dgm"]["n_fit"] != doc["n_fit"]:
         raise DataError(
-            f"model document field 'dgm.n_fit' ({doc['dgm']['n_fit']}) "
-            f"must equal 'n_fit' ({doc['n_fit']})"
+            f"model document field '{at}dgm.n_fit' ({doc['dgm']['n_fit']}) "
+            f"must equal '{at}n_fit' ({doc['n_fit']})"
         )
 
 
@@ -299,6 +301,13 @@ def _net_from_doc(doc: dict) -> FeedforwardNet:
     )
 
 
+def _check_net_output(doc: dict, at: str) -> None:
+    if doc["net"]["layer_sizes"][-1] != 1:
+        raise DataError(
+            f"model document field '{at}net.layer_sizes' must end in 1, the one forecast"
+        )
+
+
 def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
     return [
         IGNN.fitted_model(cfg.window + 1, ignn_fitted(f), {
@@ -307,6 +316,21 @@ def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
         })
         for f in ignn_fit_batch(series, window=cfg.window, cfg=cfg.train)
     ]
+
+
+def _check_ignn(doc: dict, at: str) -> None:
+    window, inputs = doc["window"], doc["net"]["layer_sizes"][0]
+    if window != inputs:
+        raise DataError(
+            f"model document field '{at}window' ({window}) must equal "
+            f"'{at}net.layer_sizes[0]' ({inputs}), the net's inputs"
+        )
+    if len(doc["ago_tail"]) != window:
+        raise DataError(
+            f"model document field '{at}ago_tail' must hold {window} entries, "
+            f"one per step of '{at}window'"
+        )
+    _check_net_output(doc, at)
 
 
 def _load_ignn(doc: dict):
@@ -322,7 +346,7 @@ def _load_ignn(doc: dict):
 IGNN = Kind("ignn", "net", _fit_ignn, {
     **_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count",
     "window": "count", "ago_tail": ["number"],
-}, _load_ignn, variant="ignn")
+}, _load_ignn, _check_ignn, variant="ignn")
 
 
 def _sgnn_windows(n: int) -> list[int]:
@@ -343,11 +367,19 @@ def _fit_sgnn(series, cfg: PipelineConfig) -> list[FittedModel]:
     ]
 
 
-def _check_sgnn(doc: dict) -> None:
+def _check_sgnn(doc: dict, at: str) -> None:
     if len(doc["offsets"]) != len(doc["gm_models"]):
         raise DataError(
-            "model document field 'offsets' must hold one entry per entry of 'gm_models'"
+            f"model document field '{at}offsets' must hold one entry per entry of "
+            f"'{at}gm_models'"
         )
+    inputs = doc["net"]["layer_sizes"][0]
+    if len(doc["gm_models"]) != inputs:
+        raise DataError(
+            f"model document field '{at}gm_models' must hold {inputs} entries, "
+            f"one per input of '{at}net.layer_sizes[0]'"
+        )
+    _check_net_output(doc, at)
 
 
 def _load_sgnn(doc: dict):
@@ -428,24 +460,24 @@ def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> F
     })
 
 
-def _check_hybrid(doc: dict) -> None:
+def _check_hybrid(doc: dict, at: str) -> None:
     """What ties the components together; each is loaded, and so checked, first."""
     components = doc["components"]
     n_fit = components[0]["n_fit"]
     for i, component in enumerate(components):
         if component["n_fit"] != n_fit:
             raise DataError(
-                f"model document field 'components[{i}].n_fit' ({component['n_fit']}) "
-                f"must equal 'components[0].n_fit' ({n_fit}): all fit one series"
+                f"model document field '{at}components[{i}].n_fit' ({component['n_fit']}) "
+                f"must equal '{at}components[0].n_fit' ({n_fit}): all fit one series"
             )
     if len(doc["weights"]) != len(components):
         raise DataError(
-            f"model document field 'weights' must hold {len(components)} entries, "
-            f"one per entry of 'components'"
+            f"model document field '{at}weights' must hold {len(components)} entries, "
+            f"one per entry of '{at}components'"
         )
     if doc["combine"] not in COMBINE_SCHEMES:
         raise DataError(
-            f"model document field 'combine' must be one of {COMBINE_SCHEMES}, "
+            f"model document field '{at}combine' must be one of {COMBINE_SCHEMES}, "
             f"got {doc['combine']!r}"
         )
 
@@ -497,22 +529,34 @@ def fit_model(kind: str, values, cfg: PipelineConfig, components=DEFAULT_COMPONE
     return fit_models(kind, [values], cfg)[0]
 
 
-def model_from_doc(doc: dict) -> LoadedModel:
+def model_from_doc(doc: dict, path: str = "") -> LoadedModel:
+    """The model a doc describes; a bad doc raises a one-line DataError.
+
+    ``path`` is where the doc sits inside a hybrid doc (``components[i]``),
+    so that an error in a component names its field from the top.
+    """
+    where = f" in {path!r}" if path else ""
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise DataError("model document must be a JSON object with a 'kind' field")
+        raise DataError(f"model document must be a JSON object with a 'kind' field{where}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(
-            f"unsupported model schema_version {doc.get('schema_version')!r}"
+            f"unsupported model schema_version {doc.get('schema_version')!r}{where}"
         )
     kind = doc["kind"]
     table, name = (_NETS, doc.get("variant")) if kind == "net" else (_BY_DOC_KIND, kind)
     if not isinstance(name, str) or name not in table:
-        raise DataError(f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}")
+        raise DataError(
+            f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}{where}"
+        )
     record = table[name]
-    check_keys(doc, record.keys)
+    check_keys(doc, record.keys, path)
+    at = f"{path}." if path else ""
     # Only a hybrid's keys admit components: docs of their own, loaded first.
-    parts = [model_from_doc(sub) for sub in doc.get("components", ())]
-    record.check(doc)
+    parts = [
+        model_from_doc(sub, f"{at}components[{i}]")
+        for i, sub in enumerate(doc.get("components", ()))
+    ]
+    record.check(doc, at)
     n_fit = parts[0].n_fit if parts else doc["n_fit"]  # the parts share one
     return LoadedModel(record.name, n_fit, record.load(doc, *parts))
 

@@ -321,6 +321,30 @@ def _arrangement_vertices(errors: np.ndarray, rows: int):
         yield cross[inside] / total[inside, None]
 
 
+def _best_on_face(errors, w, face, emin, emax, rho):
+    """Re-weight only the models of ``face`` (at most three), exactly.
+
+    The other weights stay as in ``w`` and leave the face the weight
+    ``mass``.  On the rows ``mass * errors[face] + w[rest] @ errors[rest]``
+    the face is the two- or three-model problem, so every vertex of their
+    arrangement is scored in order, with the given envelopes, and the
+    first best one kept.  Returns (weights, degree).
+    """
+    rest = [j for j in range(len(errors)) if j not in face]
+    mass = 1.0 - w[rest].sum()
+    rows = mass * errors[face] + w[rest] @ errors[rest]
+    best_u, best_gamma = None, -np.inf
+    for block in _arrangement_vertices(rows, max(1, _SCORE_BLOCK // rows.shape[1])):
+        if len(block):
+            scores = _relation_scores(np.abs(block @ rows), emin, emax, rho)
+            idx = int(np.argmax(scores))
+            if scores[idx] > best_gamma:
+                best_u, best_gamma = block[idx], float(scores[idx])
+    best = w.copy()
+    best[face] = mass * best_u
+    return best, best_gamma
+
+
 def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = None) -> HybridWeights:
     """Maximise the relational degree of the combined error over the simplex.
 
@@ -328,18 +352,24 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
     unit vector scores exactly its own individual degree; the optimum can
     therefore never fall below the best single method.
 
-    Two and three models are solved exactly, by one search.  Each term of
-    the degree, c / (|w·e_t| + rho*emax), is convex on either side of the
-    zero of its combined error, so the degree is convex on every cell of
-    the arrangement of the sets w·e_t = 0 and its maximum over the simplex
-    lies at a vertex of that arrangement (a convex function on a polytope
-    peaks at an extreme point).  Those vertices are the corners, every zero
-    of the combined error on an edge, and, for three models, the crossings
-    inside the triangle (:func:`_arrangement_vertices`).  Every vertex is
-    scored in that order and the first best one kept, so of two single
-    models with equal degree the first wins.  Four or more models use a
-    multi-start coordinate search, since the vertices grow as the (m-1)-th
-    power of the number of lines.
+    Each term of the degree, c / (|w·e_t| + rho*emax), is convex on either
+    side of the zero of its combined error, so the degree is convex on
+    every cell of the arrangement of the sets w·e_t = 0 and its maximum
+    over the simplex lies at a vertex of that arrangement (a convex
+    function on a polytope peaks at an extreme point).  On a face of at
+    most three models those vertices are the corners, every zero of the
+    combined error on an edge, and the crossings inside the triangle
+    (:func:`_best_on_face`).  Every face of three models (of all of them,
+    for two) is scored from zero weight outside it, and the first best
+    point kept, so of two single models with equal degree the first wins.
+
+    That is exact for two and three models, which have one face.  Four or
+    more models have more vertices than can be listed (they grow as the
+    (m-1)-th power of the number of lines), so from the best face point
+    the faces are swept again, each re-weighted exactly while the other
+    weights stay fixed, until a sweep raises the degree no further.  The
+    result is at least as good as every face, but it is not proven
+    optimal over the whole simplex.
 
     Identical forecasts, or forecasts that are all exact, get the uniform
     weights with ``tie`` set in the diagnostics.
@@ -359,64 +389,25 @@ def optimize_relation_weights(actual, forecasts, cfg: RelationConfig | None = No
     def diag(gamma: float, tie: bool = False) -> dict:
         return {"gamma": gamma, "gamma_individual": individual, "tie": tie}
 
-    def gamma_of(w: np.ndarray) -> float:
-        return float(_relation_scores(np.abs(w @ errors), emin, emax, rho))
-
     if _identical_forecasts(f):
         w = np.full(m, 1.0 / m)
-        return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma_of(w), tie=True))
+        gamma = float(_relation_scores(np.abs(w @ errors), emin, emax, rho))
+        return HybridWeights(w, SCHEME_GREY_RELATION, diag(gamma, tie=True))
 
-    if m <= 3:
-        best_w, best_gamma = None, -np.inf
-        for block in _arrangement_vertices(errors, max(1, _SCORE_BLOCK // errors.shape[1])):
-            if len(block):
-                scores = _relation_scores(np.abs(block @ errors), emin, emax, rho)
-                idx = int(np.argmax(scores))
-                if scores[idx] > best_gamma:
-                    best_w, best_gamma = block[idx], float(scores[idx])
-        return HybridWeights(best_w, SCHEME_GREY_RELATION, diag(best_gamma))
-
-    rng = np.random.default_rng(0)
-    starts = [np.full(m, 1.0 / m)]
-    starts.extend(np.eye(m)[j] for j in range(m))
-    while len(starts) < 16:
-        starts.append(rng.dirichlet(np.ones(m)))
+    faces = [list(face) for face in itertools.combinations(range(m), min(m, 3))]
     best_w, best_gamma = None, -np.inf
-    for start in starts:
-        w, gamma = _coordinate_search(gamma_of, start)
+    for face in faces:
+        w, gamma = _best_on_face(errors, np.zeros(m), face, emin, emax, rho)
         if gamma > best_gamma:
             best_w, best_gamma = w, gamma
-    for j in range(m):
-        unit = np.eye(m)[j]
-        if individual[j] > best_gamma:
-            best_w, best_gamma = unit, individual[j]
-    return HybridWeights(best_w, SCHEME_GREY_RELATION, diag(best_gamma))
-
-
-def _coordinate_search(fn, start: np.ndarray, initial_step: float = 0.25):
-    """Derivative-free coordinate moves projected back onto the simplex.
-
-    Used by :func:`optimize_relation_weights` for four or more models
-    only; two and three are solved exactly.
-    """
-    w = project_to_simplex(np.asarray(start, dtype=float))
-    best = fn(w)
-    step = initial_step
-    m = w.size
-    while step > 1e-8:
+    improved = m > 3
+    while improved:
         improved = False
-        for i in range(m):
-            for sign in (1.0, -1.0):
-                trial = w.copy()
-                trial[i] += sign * step
-                trial = project_to_simplex(trial)
-                value = fn(trial)
-                if value > best + 1e-15:
-                    w, best = trial, value
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return w, best
+        for face in faces:
+            w, gamma = _best_on_face(errors, best_w, face, emin, emax, rho)
+            if gamma > best_gamma:
+                best_w, best_gamma, improved = w, gamma, True
+    return HybridWeights(best_w, SCHEME_GREY_RELATION, diag(best_gamma))
 
 
 def combine_forecasts(forecasts, w, scheme: str = COMBINE_ARITHMETIC) -> np.ndarray:

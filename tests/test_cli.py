@@ -491,6 +491,16 @@ _DOC_EDITS = {
     "hybrid_component_n_fit_other": ("hybrid", ("components", 1, "n_fit"), 40),
     "hybrid_weights_short": ("hybrid", ("weights",), [1.0]),
     "hybrid_combine_unknown": ("hybrid", ("combine",), "median"),
+    # net docs whose sizes disagree with the net's input or output layer
+    "ignn_window_other": ("ignn", ("window",), 2),
+    "ignn_ago_tail_long": ("ignn", ("ago_tail",), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+    "ignn_two_outputs": ("ignn", ("net", "layer_sizes", -1), 2),
+    "sgnn_one_gm_model": ("sgnn", (), {
+        "gm_models": [{"a": -0.01, "u": 10.0, "x0_first": 10.0, "n_fit": 30}], "offsets": [0],
+    }),
+    "sgnn_two_outputs": ("sgnn", ("net", "layer_sizes", -1), 2),
+    # an error inside a component names it
+    "hybrid_component_dgm_n_fit_other": ("hybrid", ("components", 0, "dgm", "n_fit"), 5),
 }
 
 # The field that the error line of a _DOC_EDITS probe must name.
@@ -499,6 +509,12 @@ _DOC_EDIT_FIELDS = {
     "hybrid_component_n_fit_other": "components[1].n_fit",
     "hybrid_weights_short": "weights",
     "hybrid_combine_unknown": "combine",
+    "ignn_window_other": "window",
+    "ignn_ago_tail_long": "ago_tail",
+    "ignn_two_outputs": "net.layer_sizes",
+    "sgnn_one_gm_model": "gm_models",
+    "sgnn_two_outputs": "net.layer_sizes",
+    "hybrid_component_dgm_n_fit_other": "components[0].dgm.n_fit",
 }
 
 
