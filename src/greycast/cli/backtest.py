@@ -3,10 +3,13 @@
 Each fold refits every model on the observations up to its origin only,
 so no fold ever sees data from its own evaluation window.  Each model kind
 is fitted to all folds in one call, so the folds' networks train together.
+The held-out steps form one table, from which the pooled metrics, each
+lead's MAPE over the folds and the plot rows are all read.
 """
 
 from __future__ import annotations
 
+import numpy as np
 
 from ..errors import ConfigError, InsufficientDataError
 from ..hybrid import combine_forecasts
@@ -45,39 +48,35 @@ def run_backtest(
         )
 
     names = list(components)
-    pooled: dict[str, list[float]] = {name: [] for name in names}
-    pooled["hybrid"] = []
-    pooled_actual: list[float] = []
-    plot_rows: list[list] = []
-    fold_docs: list[dict] = []
-
     origins = [first_origin + fold * h for fold in range(folds)]
     trains = [values[:origin] for origin in origins]
     fits_by_kind = [fit_models(name, trains, cfg) for name in names]
 
+    fold_docs, blocks = [], []
     for origin, train, fits in zip(origins, trains, zip(*fits_by_kind)):
-        held_out = values[origin : origin + h]
         _, fold_actual, fold_preds = align_fitted(train, fits)
         weights = compute_weights(fold_actual, fold_preds, cfg)
         forecasts = [fit.forecast(h) for fit in fits]
         hybrid_forecast = combine_forecasts(forecasts, weights, cfg.combine)
         fold_docs.append(
-            {
-                "origin": origin,
-                "horizon": h,
-                "weights": [float(w) for w in weights.weights],
-            }
+            {"origin": origin, "horizon": h, "weights": [float(w) for w in weights.weights]}
         )
-        for name, forecast in zip(names, forecasts):
-            pooled[name].extend(float(v) for v in forecast)
-        pooled["hybrid"].extend(float(v) for v in hybrid_forecast)
-        pooled_actual.extend(float(v) for v in held_out)
-        for step in range(h):
-            plot_rows.append(
-                [origin + step + 1, held_out[step]]
-                + [forecast[step] for forecast in forecasts]
-                + [hybrid_forecast[step]]
-            )
+        blocks.append(
+            np.column_stack([values[origin : origin + h], *forecasts, hybrid_forecast])
+        )
+    # Shape (folds, h, models + 2): at each held-out step, the actual, each
+    # model's forecast and the hybrid's forecast.
+    table = np.stack(blocks)
+    actual = table[..., 0]
+    metrics = {}
+    for column, name in enumerate([*names, "hybrid"], start=1):
+        forecast = table[..., column]
+        metrics[name] = {
+            **metrics_doc(actual.ravel(), forecast.ravel()),
+            "mape_by_lead": [
+                metrics_doc(a, f)["mape"] for a, f in zip(actual.T, forecast.T)
+            ],
+        }
 
     last_fold = [fits[-1] for fits in fits_by_kind]
     report = {
@@ -86,14 +85,12 @@ def run_backtest(
         "config": cfg.echo("backtest"),
         "components": names,
         "folds": fold_docs,
-        "models": {
-            name: metrics_doc(pooled_actual, pooled[name]) for name in names
-        },
-        "hybrid": {
-            "scheme": cfg.hybrid_scheme,
-            "metrics": metrics_doc(pooled_actual, pooled["hybrid"]),
-        },
+        "models": {name: metrics[name] for name in names},
+        "hybrid": {"scheme": cfg.hybrid_scheme, "metrics": metrics["hybrid"]},
         "markov_test": markov_report_doc(components_markov_report(last_fold)),
     }
     header = ["t", "actual"] + names + ["hybrid"]
+    plot_rows = [
+        [first_origin + i + 1, *row] for i, row in enumerate(table.reshape(folds * h, -1))
+    ]
     return report, header, plot_rows

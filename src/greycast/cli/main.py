@@ -296,20 +296,39 @@ def _report_field(node: dict, key: str, name: str):
     return node[key]
 
 
-def _report_number(node: dict, key: str, name: str):
+def _number(value, name: str):
     """A number of a report; null, written for a non-finite value, reads as NaN."""
-    value = _report_field(node, key, name)
     if value is None:
         return math.nan
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"report field {name}.{key} must be a number, got {value!r}")
+        raise DataError(f"report field {name} must be a number, got {value!r}")
     return value
 
 
-def _metrics_line(label: str, metrics, name: str) -> str:
+def _report_number(node: dict, key: str, name: str):
+    return _number(_report_field(node, key, name), f"{name}.{key}")
+
+
+def _metrics_lines(label: str, metrics, name: str) -> list[str]:
+    """The metrics line, then for a backtest's metrics their line by lead."""
     metrics = _report_object(metrics, name)
     mse, mae, mape, theil = (_report_number(metrics, key, name) for key in ("mse", "mae", "mape", "theil"))
-    return f"  {label}: mse={mse:.6g} mae={mae:.6g} mape={mape:.4f}% theil={theil:.6g}"
+    lines = [f"  {label}: mse={mse:.6g} mae={mae:.6g} mape={mape:.4f}% theil={theil:.6g}"]
+    if "mape_by_lead" in metrics:
+        lines.append(_by_lead_line(label, metrics["mape_by_lead"], f"{name}.mape_by_lead"))
+    return lines
+
+
+def _by_lead_line(label: str, by_lead, name: str) -> str:
+    """Lead 1's MAPE and the mean MAPE of leads 2..h."""
+    if not isinstance(by_lead, list) or not by_lead:
+        raise DataError(f"report field {name} must be a non-empty list")
+    first, *later = (_number(v, f"{name}[{i}]") for i, v in enumerate(by_lead))
+    line = f"  {label} by lead: lead 1 mape={first:.4f}%"
+    if later:
+        leads = "lead 2" if len(later) == 1 else f"leads 2-{len(by_lead)}"
+        line += f", {leads} mean mape={sum(later) / len(later):.4f}%"
+    return line
 
 
 def _top_or_evaluation(doc: dict, key: str):
@@ -337,12 +356,12 @@ def cmd_report(args) -> int:
         lines.append(" ".join(["  config:", *shown]))
     models, name = _top_or_evaluation(doc, "models")
     for label, metrics in _report_object(models or {}, name).items():
-        lines.append(_metrics_line(label, metrics, f"{name}.{label}"))
+        lines += _metrics_lines(label, metrics, f"{name}.{label}")
     hybrid, name = _top_or_evaluation(doc, "hybrid")
     if hybrid:
         if "metrics" in _report_object(hybrid, name):
             hybrid, name = hybrid["metrics"], f"{name}.metrics"
-        lines.append(_metrics_line("hybrid", hybrid, name))
+        lines += _metrics_lines("hybrid", hybrid, name)
     weights = doc.get("weights")
     if weights:
         weights = _report_object(weights, "weights")

@@ -301,11 +301,33 @@ def _net_from_doc(doc: dict) -> FeedforwardNet:
     )
 
 
-def _check_net_output(doc: dict, at: str) -> None:
-    if doc["net"]["layer_sizes"][-1] != 1:
+def _check_net(doc: dict, at: str) -> None:
+    """The net has one output, and a weight matrix and a bias vector of the
+    sizes its ``layer_sizes`` give between each two layers."""
+    net, at = doc["net"], f"{at}net."
+    sizes = net["layer_sizes"]
+    if sizes[-1] != 1:
         raise DataError(
-            f"model document field '{at}net.layer_sizes' must end in 1, the one forecast"
+            f"model document field '{at}layer_sizes' must end in 1, the one forecast"
         )
+    for key in ("weights", "biases"):
+        if len(net[key]) != len(sizes) - 1:
+            raise DataError(
+                f"model document field '{at}{key}' must hold {len(sizes) - 1} entries, "
+                f"one per layer after the first of '{at}layer_sizes'"
+            )
+    for layer, (w, b) in enumerate(zip(net["weights"], net["biases"])):
+        rows, cols = sizes[layer + 1], sizes[layer]
+        if (len(w), len(w[0])) != (rows, cols):
+            raise DataError(
+                f"model document field '{at}weights[{layer}]' must be {rows} x {cols}, "
+                f"'{at}layer_sizes[{layer + 1}]' by '{at}layer_sizes[{layer}]'"
+            )
+        if len(b) != rows:
+            raise DataError(
+                f"model document field '{at}biases[{layer}]' must hold {rows} entries, "
+                f"one per unit of '{at}layer_sizes[{layer + 1}]'"
+            )
 
 
 def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
@@ -330,7 +352,7 @@ def _check_ignn(doc: dict, at: str) -> None:
             f"model document field '{at}ago_tail' must hold {window} entries, "
             f"one per step of '{at}window'"
         )
-    _check_net_output(doc, at)
+    _check_net(doc, at)
 
 
 def _load_ignn(doc: dict):
@@ -379,7 +401,7 @@ def _check_sgnn(doc: dict, at: str) -> None:
             f"model document field '{at}gm_models' must hold {inputs} entries, "
             f"one per input of '{at}net.layer_sizes[0]'"
         )
-    _check_net_output(doc, at)
+    _check_net(doc, at)
 
 
 def _load_sgnn(doc: dict):

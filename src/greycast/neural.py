@@ -523,14 +523,12 @@ class SgnnForecaster:
         return max(self.offsets) + 1
 
 
-def _sub_model_inputs(f: SgnnForecaster) -> np.ndarray:
+def _sub_model_inputs(gm_models, offsets, n_fit: int) -> np.ndarray:
     """Matrix of sub-model fitted values over the common time range."""
-    t0 = max(f.offsets)
-    rows = f.n_fit - t0
-    inputs = np.empty((rows, len(f.gm_models)))
-    for j, (m, off) in enumerate(zip(f.gm_models, f.offsets)):
-        fitted = forecast_gm11(m, 1)[: m.n_fit]
-        inputs[:, j] = fitted[t0 - off :]
+    t0 = max(offsets)
+    inputs = np.empty((n_fit - t0, len(gm_models)))
+    for j, (m, off) in enumerate(zip(gm_models, offsets)):
+        inputs[:, j] = forecast_gm11(m, 1)[t0 - off : m.n_fit]
     return inputs
 
 
@@ -553,7 +551,7 @@ def sgnn_fit_batch(
     """:func:`sgnn_fit` on each series with its own sub-window lengths, with
     the combining nets trained in lockstep."""
     cfg = cfg or TrainConfig()
-    shells, nets, sample_sets = [], [], []
+    nets, sample_sets, parts = [], [], []
     for x, window_lengths in zip(series, sub_window_lengths):
         values = as_values(x)
         lengths = [int(v) for v in window_lengths]
@@ -570,21 +568,12 @@ def sgnn_fit_batch(
                 )
         offsets = [values.size - length for length in lengths]
         models = [fit_gm11(values[off:]) for off in offsets]
-        shell = SgnnForecaster(
-            net=init_net((len(models), hidden, 1)),
-            gm_models=models,
-            offsets=offsets,
-            n_fit=values.size,
-        )
-        inputs = _sub_model_inputs(shell)
-        targets = values[max(offsets) :]
+        inputs = _sub_model_inputs(models, offsets, values.size)
+        targets = values[max(offsets) :, None]
         input_scaler = AffineScaler.from_range(inputs)
         output_scaler = AffineScaler.from_range(targets)
         sample_sets.append(
-            [
-                (input_scaler.transform(row), output_scaler.transform([t]))
-                for row, t in zip(inputs, targets)
-            ]
+            list(zip(input_scaler.transform(inputs), output_scaler.transform(targets)))
         )
         nets.append(
             init_net(
@@ -594,15 +583,16 @@ def sgnn_fit_batch(
                 output_scaler=output_scaler,
             )
         )
-        shells.append(shell)
-    for shell, net in zip(shells, train_bp_batch(nets, sample_sets, cfg)):
-        shell.net = net
-    return shells
+        parts.append((models, offsets, values.size))
+    return [
+        SgnnForecaster(net, models, offsets, n_fit)
+        for net, (models, offsets, n_fit) in zip(train_bp_batch(nets, sample_sets, cfg), parts)
+    ]
 
 
 def sgnn_fitted(f: SgnnForecaster) -> np.ndarray:
     """In-sample combined values for t = eval_start .. n_fit."""
-    return _predict_rows(f.net, _sub_model_inputs(f))
+    return _predict_rows(f.net, _sub_model_inputs(f.gm_models, f.offsets, f.n_fit))
 
 
 def sgnn_forecast(f: SgnnForecaster, horizon: int) -> np.ndarray:

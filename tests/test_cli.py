@@ -341,6 +341,62 @@ def test_backtest_report_and_plot(tmp_path):
     assert rows[0] == "t,actual,dgm_fmarkov,ignn,hybrid"
     assert len(rows) == 13
     assert rows[1].split(",")[0] == "69"
+    # The pooled metrics are those of the plot's columns, exactly: both files
+    # write 17 significant digits, so every float round-trips.
+    columns = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+    pooled = {**report["models"], "hybrid": report["hybrid"]["metrics"]}
+    for name, column in zip(rows[0].split(",")[2:], columns[2:]):
+        expected = cli_models.metrics_doc(columns[1], column)
+        for key in ("mse", "mae", "mape", "theil", "n"):
+            assert pooled[name][key] == expected[key], (name, key)
+
+
+def test_backtest_mape_by_lead(tmp_path, capsys):
+    data = tmp_path / "series.csv"
+    write_series(data, synthetic_series(60, seed=4))
+    report_path = tmp_path / "bt.json"
+    plot_path = tmp_path / "plot.csv"
+    assert main([
+        "backtest", "--input", str(data), "--out", str(report_path),
+        "--plot-out", str(plot_path), "--horizon", "4", "--folds", "3",
+        "--components", "dgm_fmarkov,dgm",
+    ]) == 0
+    report = json.loads(report_path.read_text())
+    rows = plot_path.read_text().strip().splitlines()
+    columns = np.array([row.split(",") for row in rows[1:]], dtype=float).T
+    metrics = {**report["models"], "hybrid": report["hybrid"]["metrics"]}
+    for name, column in zip(rows[0].split(",")[2:], columns[2:]):
+        # the plot's rows run fold by fold, so lead l is every 4th row from l
+        by_hand = [
+            100 * sum(abs((column[i] - columns[1][i]) / columns[1][i]) for i in range(lead, 12, 4)) / 3
+            for lead in range(4)
+        ]
+        assert metrics[name]["mape_by_lead"] == pytest.approx(by_hand, rel=1e-12, abs=0)
+        mean = sum(metrics[name]["mape_by_lead"]) / 4
+        assert mean == pytest.approx(metrics[name]["mape"], rel=1e-12, abs=0)
+    capsys.readouterr()
+    assert main(["report", "--input", str(report_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    by_lead = metrics["dgm"]["mape_by_lead"]
+    dgm_line = next(i for i, line in enumerate(out) if line.startswith("  dgm:"))
+    assert out[dgm_line + 1] == (
+        f"  dgm by lead: lead 1 mape={by_lead[0]:.4f}%, "
+        f"leads 2-4 mean mape={sum(by_lead[1:]) / 3:.4f}%"
+    )
+
+
+def test_backtest_mape_by_lead_is_null_at_a_zero_actual(tmp_path):
+    # The zero is the last fold's last step, so no fold trains on it.
+    data = tmp_path / "series.csv"
+    write_series(data, [*synthetic_series(39, seed=4), 0.0])
+    report_path = tmp_path / "bt.json"
+    assert main([
+        "backtest", "--input", str(data), "--out", str(report_path),
+        "--horizon", "3", "--folds", "2", "--components", "gm,dgm",
+    ]) == 0
+    metrics = json.loads(report_path.read_text())["models"]["gm"]
+    assert metrics["mape"] is None
+    assert [v is None for v in metrics["mape_by_lead"]] == [False, False, True]
 
 
 def test_backtest_never_sees_future_data(tmp_path, monkeypatch):
@@ -393,6 +449,20 @@ def test_report_command_prints_summary(tmp_path, hybrid_setup, capsys):
     assert main(["report", "--input", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "dgm_fmarkov" in out and "hybrid" in out and "markov" in out
+
+
+@pytest.mark.parametrize("by_lead, line", [
+    ([1.0, 2.0, 4.0], "  gm by lead: lead 1 mape=1.0000%, leads 2-3 mean mape=3.0000%"),
+    ([1.0, 2.0], "  gm by lead: lead 1 mape=1.0000%, lead 2 mean mape=2.0000%"),
+    ([1.0], "  gm by lead: lead 1 mape=1.0000%"),
+    ([None, 2.0], "  gm by lead: lead 1 mape=nan%, lead 2 mean mape=2.0000%"),
+])
+def test_report_prints_mape_by_lead(tmp_path, capsys, by_lead, line):
+    report = tmp_path / "r.json"
+    metrics = {"mse": 1.0, "mae": 1.0, "mape": 1.0, "theil": 0.5, "mape_by_lead": by_lead}
+    report.write_text(json.dumps({"command": "backtest", "models": {"gm": metrics}}))
+    assert main(["report", "--input", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == line
 
 
 def test_report_prints_a_null_metric_as_nan(tmp_path, capsys):
@@ -499,6 +569,10 @@ _DOC_EDITS = {
         "gm_models": [{"a": -0.01, "u": 10.0, "x0_first": 10.0, "n_fit": 30}], "offsets": [0],
     }),
     "sgnn_two_outputs": ("sgnn", ("net", "layer_sizes", -1), 2),
+    # net weights and biases of the wrong shape for the net's layer sizes
+    "ignn_weights_truncated": ("ignn", ("net", "weights", 0), [[0.1, 0.2, 0.3, 0.4]] * 2),
+    "sgnn_weights_one_layer": ("sgnn", ("net", "weights"), [[[0.5] * 3] * 4]),
+    "hybrid_component_biases_short": ("hybrid", ("components", 1, "net", "biases", 0), [0.5]),
     # an error inside a component names it
     "hybrid_component_dgm_n_fit_other": ("hybrid", ("components", 0, "dgm", "n_fit"), 5),
 }
@@ -514,6 +588,9 @@ _DOC_EDIT_FIELDS = {
     "ignn_two_outputs": "net.layer_sizes",
     "sgnn_one_gm_model": "gm_models",
     "sgnn_two_outputs": "net.layer_sizes",
+    "ignn_weights_truncated": "net.weights[0]",
+    "sgnn_weights_one_layer": "net.weights",
+    "hybrid_component_biases_short": "components[1].net.biases[0]",
     "hybrid_component_dgm_n_fit_other": "components[0].dgm.n_fit",
 }
 
@@ -571,6 +648,14 @@ _REPORTS = {
     "report_hybrid_model_doc": (None, "weights"),  # its weights are a list
     "report_metrics_not_an_object": ({"command": "hybrid", "models": {"a": 1}}, "models.a"),
     "report_chi_squared_string": ({"markov_test": {"chi_squared": "x"}}, "markov_test.chi_squared"),
+    "report_mape_by_lead_string": (
+        {"models": {"gm": {"mse": 1, "mae": 1, "mape": 1, "theil": 1, "mape_by_lead": "x"}}},
+        "models.gm.mape_by_lead",
+    ),
+    "report_mape_by_lead_item_string": (
+        {"models": {"gm": {"mse": 1, "mae": 1, "mape": 1, "theil": 1, "mape_by_lead": [1, "x"]}}},
+        "models.gm.mape_by_lead[1]",
+    ),
 }
 
 
