@@ -12,18 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, InsufficientDataError
-from ..hybrid import combine_forecasts
+from ..hybrid import combine_forecasts  # noqa: F401  (kept importable here; bench/spans.py times it)
 from ..series import as_values
 from .config import PipelineConfig
 from .models import (
     DEFAULT_COMPONENTS,
-    align_fitted,
+    assemble_hybrid,
     components_markov_report,
-    compute_weights,
     fit_model,  # noqa: F401  (kept importable here; bench/spans.py times it)
     fit_models,
     markov_report_doc,
     metrics_doc,
+    model_from_doc,
 )
 
 
@@ -54,13 +54,9 @@ def run_backtest(
 
     fold_docs, blocks = [], []
     for origin, train, fits in zip(origins, trains, zip(*fits_by_kind)):
-        _, fold_actual, fold_preds = align_fitted(train, fits)
-        weights = compute_weights(fold_actual, fold_preds, cfg)
-        forecasts = [fit.forecast(h) for fit in fits]
-        hybrid_forecast = combine_forecasts(forecasts, weights, cfg.combine)
-        fold_docs.append(
-            {"origin": origin, "horizon": h, "weights": [float(w) for w in weights.weights]}
-        )
+        doc = assemble_hybrid(train, fits, cfg, in_sample=False).to_doc()
+        forecasts, hybrid_forecast = model_from_doc(doc).forecasts(h)
+        fold_docs.append({"origin": origin, "horizon": h, "weights": doc["weights"]})
         blocks.append(
             np.column_stack([values[origin : origin + h], *forecasts, hybrid_forecast])
         )

@@ -19,7 +19,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-_LEAVES = {
+LEAVES = {
     "int": ("an integer", _is_int),
     "count": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
     "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
@@ -38,7 +38,7 @@ def check_keys(node, keys, path: str = "") -> None:
             raise DataError(f"model document field {path!r} must have rows of equal length")
         return
     if isinstance(keys, str):
-        what, holds = _LEAVES[keys]
+        what, holds = LEAVES[keys]
         if not holds(node):
             raise DataError(f"model document field {path!r} must be {what}")
         return

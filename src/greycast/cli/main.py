@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from ..errors import (
     MissingInputError,
     NumericError,
 )
-from ..hybrid import combine_forecasts
+from ..hybrid import combine_forecasts  # noqa: F401  (kept importable here; bench/spans.py times it)
 from ..markov import (
     StatePartition,
     TransitionCounts,
@@ -41,6 +42,7 @@ from ..markov import (
 from ..series import relative_residuals
 from .backtest import run_backtest
 from .config import READS, PipelineConfig, load_config, parse_boundaries
+from .docspec import LEAVES
 from .io import (
     _open_input,
     parse_counts_csv,
@@ -54,7 +56,8 @@ from .io import (
 from .models import (
     DEFAULT_COMPONENTS,
     _markov_summary,
-    assemble_hybrid,
+    align_fitted,
+    assemble_hybrid,  # noqa: F401  (kept importable here; bench/spans.py times it)
     components_markov_report,
     fit_model,
     markov_report_doc,
@@ -214,16 +217,14 @@ def cmd_hybrid(args) -> int:
     cfg = _config_from_args(args)
     components = _components_from_args(args)
     series = parse_series_csv(args.input)
-    fits, start, actual, predictions, weights, combined = assemble_hybrid(
-        series.values, cfg, components
-    )
+    hybrid = fit_model("hybrid", series.values, cfg, components)
+    start, actual, predictions = align_fitted(series.values, hybrid.parts)
+    doc = hybrid.to_doc()
     horizon = cfg.horizon
+    forecasts, hybrid_forecast = model_from_doc(doc).forecasts(horizon)
     component_forecasts = {
-        fit.kind: [float(v) for v in fit.forecast(horizon)] for fit in fits
+        kind: [float(v) for v in forecast] for kind, forecast in zip(components, forecasts)
     }
-    hybrid_forecast = combine_forecasts(
-        list(component_forecasts.values()), weights, cfg.combine
-    )
     report = {
         "schema_version": 1,
         "command": "hybrid",
@@ -232,17 +233,16 @@ def cmd_hybrid(args) -> int:
         "evaluation": {
             "start_t": start,
             "models": {
-                fit.kind: metrics_doc(actual, pred)
-                for fit, pred in zip(fits, predictions)
+                kind: metrics_doc(actual, pred) for kind, pred in zip(components, predictions)
             },
-            "hybrid": metrics_doc(actual, combined),
+            "hybrid": metrics_doc(actual, hybrid.fitted),
         },
         "weights": {
-            "scheme": weights.scheme,
-            "values": [float(w) for w in weights.weights],
-            "diagnostics": weights.diagnostics,
+            "scheme": doc["scheme"],
+            "values": doc["weights"],
+            "diagnostics": doc["diagnostics"],
         },
-        "markov_test": markov_report_doc(components_markov_report(fits)),
+        "markov_test": markov_report_doc(components_markov_report(hybrid.parts)),
         "forecast": {
             "start_t": len(series) + 1,
             "horizon": horizon,
@@ -253,12 +253,9 @@ def cmd_hybrid(args) -> int:
     write_json(args.out, report)
     if args.forecast_out:
         write_forecast_csv(args.forecast_out, len(series) + 1, hybrid_forecast)
-    mapes = {
-        kind: report["evaluation"]["models"][kind]["mape"] for kind in component_forecasts
-    }
-    print(f"hybrid scheme = {weights.scheme}, weights = {[round(float(w), 4) for w in weights.weights]}")
-    for kind, mape in mapes.items():
-        print(f"  {kind}: in-sample MAPE = {mape:.4f}%")
+    print(f"hybrid scheme = {doc['scheme']}, weights = {[round(w, 4) for w in doc['weights']]}")
+    for kind in components:
+        print(f"  {kind}: in-sample MAPE = {report['evaluation']['models'][kind]['mape']:.4f}%")
     print(f"  hybrid: in-sample MAPE = {report['evaluation']['hybrid']['mape']:.4f}%")
     print(f"report -> {args.out}")
     return 0
@@ -309,6 +306,26 @@ def _report_number(node: dict, key: str, name: str):
     return _number(_report_field(node, key, name), f"{name}.{key}")
 
 
+def _leaf(value, name: str, leaf: str):
+    """A report value that must be a ``leaf`` of a model doc's key spec
+    ("string", "int", ...; see :mod:`.docspec`)."""
+    what, holds = LEAVES[leaf]
+    if not holds(value):
+        raise DataError(f"report field {name} must be {what}, got {value!r}")
+    return value
+
+
+def _report_leaf(node: dict, key: str, name: str, leaf: str):
+    return _leaf(_report_field(node, key, name), f"{name}.{key}", leaf)
+
+
+def _numbers(value, name: str) -> list:
+    """A report's non-empty list of numbers, each read as :func:`_number` does."""
+    if not isinstance(value, list) or not value:
+        raise DataError(f"report field {name} must be a non-empty list")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
 def _metrics_lines(label: str, metrics, name: str) -> list[str]:
     """The metrics line, then for a backtest's metrics their line by lead."""
     metrics = _report_object(metrics, name)
@@ -321,9 +338,7 @@ def _metrics_lines(label: str, metrics, name: str) -> list[str]:
 
 def _by_lead_line(label: str, by_lead, name: str) -> str:
     """Lead 1's MAPE and the mean MAPE of leads 2..h."""
-    if not isinstance(by_lead, list) or not by_lead:
-        raise DataError(f"report field {name} must be a non-empty list")
-    first, *later = (_number(v, f"{name}[{i}]") for i, v in enumerate(by_lead))
+    first, *later = _numbers(by_lead, name)
     line = f"  {label} by lead: lead 1 mape={first:.4f}%"
     if later:
         leads = "lead 2" if len(later) == 1 else f"leads 2-{len(by_lead)}"
@@ -349,7 +364,7 @@ def cmd_report(args) -> int:
     """Print a summary of a report; a field of the wrong type or a missing
     one is a data error that names it, and nothing is printed."""
     doc = _load_json_doc(args.input)
-    lines = [f"report for command: {doc.get('command', '?')}"]
+    lines = [f"report for command: {_leaf(doc.get('command', '?'), 'command', 'string')}"]
     config = _report_object(doc.get("config", {}), "config")
     if config:
         shown = [f"{label}={config[key]}" for key, label in _REPORT_CONFIG if key in config]
@@ -365,12 +380,16 @@ def cmd_report(args) -> int:
     weights = doc.get("weights")
     if weights:
         weights = _report_object(weights, "weights")
-        lines.append(f"  weights ({weights.get('scheme')}): {weights.get('values')}")
+        scheme = _report_leaf(weights, "scheme", "weights", "string")
+        values = _report_field(weights, "values", "weights")
+        _numbers(values, "weights.values")
+        lines.append(f"  weights ({scheme}): {values}")
     markov = doc.get("markov_test")
     if markov:
         markov = _report_object(markov, "markov_test")
         chi2, threshold = (_report_number(markov, key, "markov_test") for key in ("chi_squared", "threshold"))
-        dof, verdict = (_report_field(markov, key, "markov_test") for key in ("dof", "verdict"))
+        dof = _report_leaf(markov, "dof", "markov_test", "int")
+        verdict = _report_leaf(markov, "verdict", "markov_test", "string")
         lines.append(
             f"  markov: chi-squared={chi2:.4f} dof={dof} threshold={threshold:g} verdict={verdict}"
         )
@@ -463,7 +482,17 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+    except BrokenPipeError as exc:
+        # The reader closed stdout early (``greycast report ... | head -3``).
+        # As the SIGPIPE note of the signal module's docs advises, stdout
+        # goes to devnull, so the flush at exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = dict(_EXIT_CODES)[ConfigError]  # that of an unwritable output path
+    sys.exit(code)
 
 
 if __name__ == "__main__":

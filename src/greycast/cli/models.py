@@ -83,6 +83,7 @@ class FittedModel:
     fitted: np.ndarray
     _doc: dict
     markov_report: MarkovTestReport | None = None
+    parts: tuple[FittedModel, ...] = ()  # a hybrid's component fits
 
     def forecast(self, horizon: int) -> np.ndarray:
         return model_from_doc(self.to_doc()).forecast(horizon)
@@ -95,10 +96,17 @@ class FittedModel:
 class LoadedModel:
     kind: str
     n_fit: int
-    _forecast: callable = field(repr=False)
+    _forecast: Callable = field(repr=False)
+    parts: tuple[LoadedModel, ...] = ()  # a hybrid's loaded components
+
+    def forecasts(self, horizon: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Each part's forecast, computed once, and this model's own, which
+        a hybrid combines from them."""
+        part_forecasts = [part.forecast(horizon) for part in self.parts]
+        return part_forecasts, self._forecast(horizon, *part_forecasts)
 
     def forecast(self, horizon: int) -> np.ndarray:
-        return self._forecast(horizon)
+        return self.forecasts(horizon)[1]
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,8 @@ class Kind:
     (see :mod:`.docspec`); its ``check(doc, at)`` of fields that must agree,
     run once the keys hold, which names each field after the prefix ``at``
     (``components[i].`` inside a hybrid, else empty); and its ``load``,
-    which maps a checked doc, and the loaded models of its components (a
-    hybrid's only), to the forecast function.
+    which maps a checked doc to its forecast function of the horizon and,
+    for a hybrid only, of its components' forecasts.
     Functions that a benchmark span wraps (``fit_dgm``, ...) are never held
     here: the record's own functions call them through the module globals."""
 
@@ -121,13 +129,13 @@ class Kind:
     check: Callable[[dict, str], None] = lambda doc, at: None
     variant: str | None = None
 
-    def fitted_model(self, start_t, fitted, body: dict, markov_report=None) -> FittedModel:
+    def fitted_model(self, start_t, fitted, body: dict, markov_report=None, parts=()) -> FittedModel:
         """A fit of this kind; its doc is the kind's tag, then ``body``."""
         doc = {"schema_version": SCHEMA_VERSION, "kind": self.doc_kind}
         if self.variant is not None:
             doc["variant"] = self.variant
         doc.update(body)
-        return FittedModel(self.name, start_t, fitted, doc, markov_report)
+        return FittedModel(self.name, start_t, fitted, doc, markov_report, tuple(parts))
 
 
 def _each(fit_one):
@@ -453,38 +461,44 @@ def align_fitted(values, components: list[FittedModel]):
     return start, actual, predictions
 
 
-def assemble_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS):
-    """Fit the component models and weight them on the common in-sample range.
+def assemble_hybrid(values, fits, cfg: PipelineConfig, in_sample: bool = True) -> FittedModel:
+    """The hybrid of components already fitted to ``values``, weighed on
+    their common in-sample range under ``cfg``'s scheme.
 
-    Returns (fits, start_t, actual slice, prediction slices, weights,
-    combined in-sample series).
+    Its doc is the ``fit --model hybrid`` doc, its ``parts`` are ``fits``,
+    and its ``fitted`` values combine theirs on that range.  With
+    ``in_sample=False`` that combination is skipped and ``fitted`` is None:
+    a backtest fold reads only the doc, and a geometric or harmonic
+    combination of non-positive in-sample values must not stop it.
     """
-    values = as_values(values)
-    if len(components) < 2:
-        raise ConfigError("hybrid needs at least 2 component models")
-    fits = [fit_model(kind, values, cfg) for kind in components]
     start, actual, predictions = align_fitted(values, fits)
     weights = compute_weights(actual, predictions, cfg)
-    combined = combine_forecasts(predictions, weights, cfg.combine)
-    return fits, start, actual, predictions, weights, combined
-
-
-def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
-    fits, start, actual, predictions, weights, combined = assemble_hybrid(
-        values, cfg, components
-    )
+    combined = combine_forecasts(predictions, weights, cfg.combine) if in_sample else None
     return HYBRID.fitted_model(start, combined, {
         "scheme": weights.scheme,
         "combine": cfg.combine,
         "weights": [float(w) for w in weights.weights],
         "diagnostics": weights.diagnostics,
         "components": [f.to_doc() for f in fits],
-    })
+    }, parts=fits)
+
+
+def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
+    values = as_values(values)
+    if len(components) < 2:
+        raise ConfigError("hybrid needs at least 2 component models")
+    return assemble_hybrid(values, [fit_model(kind, values, cfg) for kind in components], cfg)
 
 
 def _check_hybrid(doc: dict, at: str) -> None:
     """What ties the components together; each is loaded, and so checked, first."""
     components = doc["components"]
+    for i, component in enumerate(components):
+        if component["kind"] == HYBRID.doc_kind:
+            raise DataError(
+                f"model document field '{at}components[{i}].kind' must name a base "
+                f"model, not {HYBRID.doc_kind!r}"
+            )
     n_fit = components[0]["n_fit"]
     for i, component in enumerate(components):
         if component["n_fit"] != n_fit:
@@ -497,6 +511,10 @@ def _check_hybrid(doc: dict, at: str) -> None:
             f"model document field '{at}weights' must hold {len(components)} entries, "
             f"one per entry of '{at}components'"
         )
+    try:
+        HybridWeights(doc["weights"], doc["scheme"])
+    except DataError as exc:
+        raise DataError(f"model document field '{at}weights' is not a weight vector ({exc})") from exc
     if doc["combine"] not in COMBINE_SCHEMES:
         raise DataError(
             f"model document field '{at}combine' must be one of {COMBINE_SCHEMES}, "
@@ -504,10 +522,10 @@ def _check_hybrid(doc: dict, at: str) -> None:
         )
 
 
-def _load_hybrid(doc: dict, *parts: LoadedModel):
+def _load_hybrid(doc: dict):
     weights = np.asarray(doc["weights"], dtype=float)
     combine = doc["combine"]
-    return lambda h: combine_forecasts([p.forecast(h) for p in parts], weights, combine)
+    return lambda h, *forecasts: combine_forecasts(forecasts, weights, combine)
 
 
 #: The hybrid fits through :func:`fit_model` with its components, not FITTERS.
@@ -580,7 +598,7 @@ def model_from_doc(doc: dict, path: str = "") -> LoadedModel:
     ]
     record.check(doc, at)
     n_fit = parts[0].n_fit if parts else doc["n_fit"]  # the parts share one
-    return LoadedModel(record.name, n_fit, record.load(doc, *parts))
+    return LoadedModel(record.name, n_fit, record.load(doc), tuple(parts))
 
 
 def markov_report_doc(report: MarkovTestReport | None):

@@ -27,6 +27,7 @@ from greycast import (
     fuzzy_transition_matrix,
     relative_residuals,
 )
+from greycast.cli.backtest import run_backtest
 from greycast.cli.config import MODELS, READS, PipelineConfig, load_config
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
 from greycast.cli.main import _CONFIG_FLAGS, _config_from_args, build_parser, main
@@ -433,6 +434,77 @@ def test_backtest_never_sees_future_data(tmp_path, monkeypatch):
     assert sorted(calls) == ["dgm_fmarkov", "ignn"]  # one call per kind, all folds
 
 
+@pytest.mark.parametrize("components, scheme, combine", [
+    ("dgm_fmarkov,ignn", "grey_relation", "arithmetic"),
+    ("gm,dgm_fmarkov,sgnn", "simplex_ls", "harmonic"),
+])
+def test_hybrid_report_forecasts_come_from_the_hybrid_doc(
+    tmp_path, hybrid_setup, components, scheme, combine
+):
+    # The hybrid command and fit --model hybrid then forecast, run with the
+    # same flags, forecast from one doc: the CSVs are byte-identical, and the
+    # report's per-model forecasts are the loaded doc's component forecasts.
+    data, config = hybrid_setup
+    flags = ["--input", str(data), "--config", str(config), "--components", components,
+             "--scheme", scheme, "--combine", combine, "--seed", "2"]
+    report_path, hybrid_fc = tmp_path / "report.json", tmp_path / "hybrid_fc.csv"
+    assert main(["hybrid", *flags, "--out", str(report_path), "--horizon", "5",
+                 "--forecast-out", str(hybrid_fc)]) == 0
+    doc_path, doc_fc = tmp_path / "hybrid.json", tmp_path / "doc_fc.csv"
+    assert main(["fit", "--model", "hybrid", *flags, "--out", str(doc_path)]) == 0
+    assert main(["forecast", "--input", str(doc_path), "--horizon", "5", "--out", str(doc_fc)]) == 0
+    assert hybrid_fc.read_bytes() == doc_fc.read_bytes()
+    report = json.loads(report_path.read_text())
+    doc = json.loads(doc_path.read_text())
+    part_forecasts, hybrid_forecast = cli_models.model_from_doc(doc).forecasts(5)
+    assert report["forecast"]["models"] == {
+        kind: forecast.tolist() for kind, forecast in zip(report["components"], part_forecasts)
+    }
+    assert report["forecast"]["hybrid"] == hybrid_forecast.tolist()
+    assert report["weights"]["values"] == doc["weights"]
+
+
+@pytest.mark.parametrize("components", [
+    ("dgm_fmarkov", "ignn"), ("dgm_fmarkov", "dgm", "sgnn"), ("gm", "dgm"),
+])
+def test_backtest_folds_equal_standalone_hybrid_fits(components):
+    # Each fold's networks train in lockstep with the other folds', yet its
+    # hybrid forecast and weights are those of a hybrid fitted to the fold's
+    # training data alone, bit for bit.
+    values = synthetic_series(80, seed=3)
+    cfg = PipelineConfig(horizon=4, train=TrainConfig(epochs=20, learning_rate=0.1))
+    report, header, rows = run_backtest(values, cfg, components=components, folds=3)
+    hybrid = np.array([row[header.index("hybrid")] for row in rows]).reshape(3, 4)
+    for fold, forecast in zip(report["folds"], hybrid):
+        fit = cli_models.fit_model("hybrid", values[: fold["origin"]], cfg, components)
+        assert forecast.tobytes() == fit.forecast(4).tobytes()
+        assert fold["weights"] == fit.to_doc()["weights"]
+
+
+def test_backtest_combines_forecasts_only(tmp_path, monkeypatch, capsys):
+    # A geometric hybrid fit refuses in-sample values that are not all
+    # positive; a backtest combines only each fold's forecasts, so such
+    # in-sample values do not stop it.
+    original = cli_models.FITTERS["gm"]
+
+    def first_fitted_negative(series, cfg):
+        fits = original(series, cfg)
+        for fit in fits:
+            fit.fitted[0] = -1.0
+        return fits
+
+    monkeypatch.setitem(cli_models.FITTERS, "gm", first_fitted_negative)
+    data = tmp_path / "series.csv"
+    write_series(data, synthetic_series(40, seed=5))
+    flags = ["--input", str(data), "--components", "gm,dgm", "--combine", "geometric",
+             "--horizon", "3"]
+    assert main(["backtest", *flags, "--out", str(tmp_path / "bt.json"), "--folds", "2"]) == 0
+    assert main(["hybrid", *flags, "--out", str(tmp_path / "h.json")]) == 5
+    assert capsys.readouterr().err == (
+        "error: geometric combination requires strictly positive forecasts\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # report command
 # ---------------------------------------------------------------------------
@@ -575,6 +647,15 @@ _DOC_EDITS = {
     "hybrid_component_biases_short": ("hybrid", ("components", 1, "net", "biases", 0), [0.5]),
     # an error inside a component names it
     "hybrid_component_dgm_n_fit_other": ("hybrid", ("components", 0, "dgm", "n_fit"), 5),
+    # a hybrid's component is a base model, and its weights lie on the simplex
+    "hybrid_component_hybrid": ("hybrid", ("components", 0), {
+        "schema_version": 1, "kind": "hybrid", "scheme": "grey_relation",
+        "combine": "arithmetic", "weights": [0.5, 0.5], "diagnostics": {},
+        "components": [{"schema_version": 1, "kind": "gm", "a": -0.01, "u": 10.0,
+                        "x0_first": 10.0, "n_fit": 30}] * 2,
+    }),
+    "hybrid_weights_sum_above_one": ("hybrid", ("weights",), [0.5, 0.7]),
+    "hybrid_weights_negative": ("hybrid", ("weights",), [-1.0, 2.0]),
 }
 
 # The field that the error line of a _DOC_EDITS probe must name.
@@ -592,6 +673,9 @@ _DOC_EDIT_FIELDS = {
     "sgnn_weights_one_layer": "net.weights",
     "hybrid_component_biases_short": "components[1].net.biases[0]",
     "hybrid_component_dgm_n_fit_other": "components[0].dgm.n_fit",
+    "hybrid_component_hybrid": "components[0].kind",
+    "hybrid_weights_sum_above_one": "weights",
+    "hybrid_weights_negative": "weights",
 }
 
 
@@ -655,6 +739,24 @@ _REPORTS = {
     "report_mape_by_lead_item_string": (
         {"models": {"gm": {"mse": 1, "mae": 1, "mape": 1, "theil": 1, "mape_by_lead": [1, "x"]}}},
         "models.gm.mape_by_lead[1]",
+    ),
+    # fields that report prints must have the type it prints
+    "report_command_list": ({"command": ["hybrid"]}, "command"),
+    "report_weights_scheme_int": ({"weights": {"scheme": 7, "values": "abc"}}, "weights.scheme"),
+    "report_weights_no_scheme": ({"weights": {"values": [0.5, 0.5]}}, "weights.scheme"),
+    "report_weights_values_string": (
+        {"weights": {"scheme": "grey_relation", "values": "abc"}}, "weights.values",
+    ),
+    "report_weights_values_item_string": (
+        {"weights": {"scheme": "grey_relation", "values": [0.5, "x"]}}, "weights.values[1]",
+    ),
+    "report_markov_dof_string": (
+        {"markov_test": {"chi_squared": 1.0, "threshold": 3.8, "dof": "many", "verdict": "MARKOV"}},
+        "markov_test.dof",
+    ),
+    "report_markov_verdict_int": (
+        {"markov_test": {"chi_squared": 1.0, "threshold": 3.8, "dof": 1, "verdict": 3}},
+        "markov_test.verdict",
     ),
 }
 
@@ -787,6 +889,26 @@ def test_each_error_class_exits_with_its_code(tmp_path, capsys, monkeypatch, err
     assert main(["synth", "--out", str(tmp_path / "x.csv")]) == _EXIT_CODES[error]
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: boom\n")
+
+
+def test_closed_stdout_exits_2_with_one_line(tmp_path):
+    # As in `greycast report --input r.json | head -3`, where head has
+    # exited before the summary is printed: no reader is left on stdout.
+    report = tmp_path / "r.json"
+    metrics = {"mse": 1.0, "mae": 1.0, "mape": 1.0, "theil": 0.5}
+    report.write_text(json.dumps({"command": "backtest", "models": {"gm": metrics}}))
+    src = os.path.dirname(os.path.dirname(greycast.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "greycast", "report", "--input", str(report)],
+            env=dict(os.environ, PYTHONPATH=src), stdout=write_end, stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, b"error: cannot write stdout: Broken pipe\n")
 
 
 @pytest.mark.parametrize("kind, path", [
