@@ -209,7 +209,12 @@ def cmd_markov_test(args) -> int:
     print(f"threshold = {report.threshold:g} (alpha = {report.alpha:g})")
     print(f"verdict: {'MARKOV' if report.is_markov else 'NOT MARKOV'}")
     if args.out:
-        write_json(args.out, markov_report_doc(report))
+        write_json(args.out, {
+            "schema_version": 1,
+            "command": "markov-test",
+            "config": cfg.echo("markov-test"),
+            "markov_test": markov_report_doc(report),
+        })
     return 0
 
 
@@ -281,115 +286,92 @@ def cmd_backtest(args) -> int:
     return 0
 
 
-def _report_object(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise DataError(f"report field {name} must be a JSON object, not a {type(value).__name__}")
-    return value
-
-
-def _report_field(node: dict, key: str, name: str):
-    if key not in node:
-        raise DataError(f"report field {name}.{key} is missing")
-    return node[key]
-
-
-def _number(value, name: str):
-    """A number of a report; null, written for a non-finite value, reads as NaN."""
-    if value is None:
+def _checked(value, name: str, leaf: str):
+    """``value``, the report field ``name``, if it is a ``leaf``: one of
+    :data:`.docspec.LEAVES`, or one of report's own two, "number?" (a
+    number, or null, which a report holds for a non-finite value and which
+    reads as NaN) and "[number?]" (a non-empty list of those)."""
+    if leaf == "[number?]":
+        if not isinstance(value, list) or not value:
+            raise DataError(f"report field {name} must be a non-empty list, got {value!r}")
+        return [_checked(v, f"{name}[{i}]", "number?") for i, v in enumerate(value)]
+    if leaf == "number?" and value is None:
         return math.nan
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"report field {name} must be a number, got {value!r}")
-    return value
-
-
-def _report_number(node: dict, key: str, name: str):
-    return _number(_report_field(node, key, name), f"{name}.{key}")
-
-
-def _leaf(value, name: str, leaf: str):
-    """A report value that must be a ``leaf`` of a model doc's key spec
-    ("string", "int", ...; see :mod:`.docspec`)."""
-    what, holds = LEAVES[leaf]
+    what, holds = LEAVES[leaf.rstrip("?")]
     if not holds(value):
         raise DataError(f"report field {name} must be {what}, got {value!r}")
     return value
 
 
-def _report_leaf(node: dict, key: str, name: str, leaf: str):
-    return _leaf(_report_field(node, key, name), f"{name}.{key}", leaf)
+def _field(node: dict, key: str, leaf: str, at: str = "", default=...):
+    """The field ``key`` of the report object ``node``, named ``at + key``
+    and checked as :func:`_checked` does; an absent field is ``default``, or
+    a data error if there is none."""
+    if key not in node:
+        if default is ...:
+            raise DataError(f"report field {at}{key} is missing")
+        return default
+    return _checked(node[key], at + key, leaf)
 
 
-def _numbers(value, name: str) -> list:
-    """A report's non-empty list of numbers, each read as :func:`_number` does."""
-    if not isinstance(value, list) or not value:
-        raise DataError(f"report field {name} must be a non-empty list")
-    return [_number(v, f"{name}[{i}]") for i, v in enumerate(value)]
-
-
-def _metrics_lines(label: str, metrics, name: str) -> list[str]:
-    """The metrics line, then for a backtest's metrics their line by lead."""
-    metrics = _report_object(metrics, name)
-    mse, mae, mape, theil = (_report_number(metrics, key, name) for key in ("mse", "mae", "mape", "theil"))
+def _metrics_lines(label: str, metrics: dict, at: str) -> list[str]:
+    """The metrics line, then for a backtest's metrics lead 1's MAPE and the
+    mean MAPE of leads 2..h."""
+    mse, mae, mape, theil = (_field(metrics, key, "number?", at) for key in ("mse", "mae", "mape", "theil"))
     lines = [f"  {label}: mse={mse:.6g} mae={mae:.6g} mape={mape:.4f}% theil={theil:.6g}"]
-    if "mape_by_lead" in metrics:
-        lines.append(_by_lead_line(label, metrics["mape_by_lead"], f"{name}.mape_by_lead"))
+    by_lead = _field(metrics, "mape_by_lead", "[number?]", at, default=None)
+    if by_lead:
+        first, *later = by_lead
+        line = f"  {label} by lead: lead 1 mape={first:.4f}%"
+        if later:
+            leads = "lead 2" if len(later) == 1 else f"leads 2-{len(by_lead)}"
+            line += f", {leads} mean mape={sum(later) / len(later):.4f}%"
+        lines.append(line)
     return lines
 
 
-def _by_lead_line(label: str, by_lead, name: str) -> str:
-    """Lead 1's MAPE and the mean MAPE of leads 2..h."""
-    first, *later = _numbers(by_lead, name)
-    line = f"  {label} by lead: lead 1 mape={first:.4f}%"
-    if later:
-        leads = "lead 2" if len(later) == 1 else f"leads 2-{len(by_lead)}"
-        line += f", {leads} mean mape={sum(later) / len(later):.4f}%"
-    return line
-
-
-def _top_or_evaluation(doc: dict, key: str):
-    """``doc[key]`` (a backtest report) or else ``doc["evaluation"][key]``
-    (a hybrid report), with the field's name."""
-    if doc.get(key):
-        return doc[key], key
-    evaluation = _report_object(doc.get("evaluation", {}), "evaluation")
-    return evaluation.get(key), f"evaluation.{key}"
-
-
-#: The config fields ``report`` prints, with their labels, when a report holds them.
-_REPORT_CONFIG = (("model", "model"), ("hybrid_scheme", "scheme"), ("combine", "combine"),
-                  ("horizon", "horizon"), ("seed", "seed"))
+#: The config fields ``report`` prints, with their labels and leaf types,
+#: when a report holds them.
+_REPORT_CONFIG = (("model", "model", "string"), ("hybrid_scheme", "scheme", "string"),
+                  ("combine", "combine", "string"), ("horizon", "horizon", "int"),
+                  ("seed", "seed", "int"))
 
 
 def cmd_report(args) -> int:
     """Print a summary of a report; a field of the wrong type or a missing
     one is a data error that names it, and nothing is printed."""
     doc = _load_json_doc(args.input)
-    lines = [f"report for command: {_leaf(doc.get('command', '?'), 'command', 'string')}"]
-    config = _report_object(doc.get("config", {}), "config")
-    if config:
-        shown = [f"{label}={config[key]}" for key, label in _REPORT_CONFIG if key in config]
+    lines = [f"report for command: {_field(doc, 'command', 'string', default='?')}"]
+    config = _field(doc, "config", "object", default={})
+    shown = [f"{label}={_field(config, key, leaf, 'config.')}"
+             for key, label, leaf in _REPORT_CONFIG if key in config]
+    if shown:
         lines.append(" ".join(["  config:", *shown]))
-    models, name = _top_or_evaluation(doc, "models")
-    for label, metrics in _report_object(models or {}, name).items():
-        lines += _metrics_lines(label, metrics, f"{name}.{label}")
-    hybrid, name = _top_or_evaluation(doc, "hybrid")
-    if hybrid:
-        if "metrics" in _report_object(hybrid, name):
-            hybrid, name = hybrid["metrics"], f"{name}.metrics"
-        lines += _metrics_lines("hybrid", hybrid, name)
-    weights = doc.get("weights")
-    if weights:
-        weights = _report_object(weights, "weights")
-        scheme = _report_leaf(weights, "scheme", "weights", "string")
-        values = _report_field(weights, "values", "weights")
-        _numbers(values, "weights.values")
+    for key in ("models", "hybrid"):
+        # A backtest report holds this section at its top, a hybrid report
+        # under evaluation.
+        node, at = (doc, "") if doc.get(key) else (
+            _field(doc, "evaluation", "object", default={}), "evaluation.")
+        section = _field(node, key, "object", at, default={})
+        at += f"{key}."
+        if key == "models":
+            for label in section:
+                lines += _metrics_lines(label, _field(section, label, "object", at), f"{at}{label}.")
+        elif section:
+            if "metrics" in section:
+                section, at = _field(section, "metrics", "object", at), f"{at}metrics."
+            lines += _metrics_lines("hybrid", section, at)
+    if doc.get("weights"):
+        weights = _field(doc, "weights", "object")
+        scheme = _field(weights, "scheme", "string", "weights.")
+        values = _field(weights, "values", "[number?]", "weights.")
         lines.append(f"  weights ({scheme}): {values}")
-    markov = doc.get("markov_test")
-    if markov:
-        markov = _report_object(markov, "markov_test")
-        chi2, threshold = (_report_number(markov, key, "markov_test") for key in ("chi_squared", "threshold"))
-        dof = _report_leaf(markov, "dof", "markov_test", "int")
-        verdict = _report_leaf(markov, "verdict", "markov_test", "string")
+    if doc.get("markov_test"):
+        markov = _field(doc, "markov_test", "object")
+        chi2, threshold, dof, verdict = (
+            _field(markov, key, leaf, "markov_test.") for key, leaf in (
+                ("chi_squared", "number?"), ("threshold", "number?"),
+                ("dof", "int"), ("verdict", "string")))
         lines.append(
             f"  markov: chi-squared={chi2:.4f} dof={dof} threshold={threshold:g} verdict={verdict}"
         )

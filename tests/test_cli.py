@@ -223,7 +223,7 @@ def test_markov_test_on_series(tmp_path, capsys):
     out_path = tmp_path / "markov.json"
     rc = main(["markov-test", "--input", str(data), "--out", str(out_path)])
     assert rc == 0
-    doc = json.loads(out_path.read_text())
+    doc = json.loads(out_path.read_text())["markov_test"]
     assert doc["dof"] == 25
     assert doc["verdict"] in ("MARKOV", "NOT MARKOV")
     assert "chi-squared" in capsys.readouterr().out
@@ -523,6 +523,38 @@ def test_report_command_prints_summary(tmp_path, hybrid_setup, capsys):
     assert "dgm_fmarkov" in out and "hybrid" in out and "markov" in out
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("hybrid", []),
+    ("backtest", ["--folds", "3", "--horizon", "4"]),
+    ("markov-test", []),
+])
+def test_report_reads_every_report_the_cli_writes(tmp_path, hybrid_setup, capsys, command, flags):
+    data, config = hybrid_setup
+    report_path = tmp_path / "r.json"
+    assert main([command, "--input", str(data), "--out", str(report_path),
+                 "--config", str(config), *flags]) == 0
+    doc = json.loads(report_path.read_text())
+    capsys.readouterr()
+    assert main(["report", "--input", str(report_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"report for command: {command}"
+    evaluation = doc.get("evaluation", doc)
+    metrics = dict(evaluation.get("models", {}))
+    if "hybrid" in evaluation:
+        metrics["hybrid"] = evaluation["hybrid"].get("metrics", evaluation["hybrid"])
+    assert len(metrics) == (0 if command == "markov-test" else 3)
+    for name, m in metrics.items():
+        assert (f"  {name}: mse={m['mse']:.6g} mae={m['mae']:.6g} "
+                f"mape={m['mape']:.4f}% theil={m['theil']:.6g}") in out
+    if command == "hybrid":
+        assert f"  weights ({doc['weights']['scheme']}): {doc['weights']['values']}" in out
+    m = doc["markov_test"]
+    assert out[-1] == (
+        f"  markov: chi-squared={m['chi_squared']:.4f} dof={m['dof']} "
+        f"threshold={m['threshold']:g} verdict={m['verdict']}"
+    )
+
+
 @pytest.mark.parametrize("by_lead, line", [
     ([1.0, 2.0, 4.0], "  gm by lead: lead 1 mape=1.0000%, leads 2-3 mean mape=3.0000%"),
     ([1.0, 2.0], "  gm by lead: lead 1 mape=1.0000%, lead 2 mean mape=2.0000%"),
@@ -702,8 +734,11 @@ _CONFIGS = {
 }
 
 
+_EIGHT_STATES = "--boundaries=-0.2,-0.09,-0.05,-0.025,-0.01,0,0.01,0.025,0.09"
+
 # Calls on a valid series: probe -> (exit code, command, flags after
-# --input and --out).
+# --input and --out).  A call that exits 0 writes a report with no Markov
+# test.
 _CALLS = {
     "boundaries_flag_nan": (2, "hybrid", ["--components", "dgm,gm", "--boundaries=0,nan,1"]),
     "boundaries_flag_infinite": (2, "fit", ["--model", "dgm_fmarkov", "--boundaries=-inf,0,1"]),
@@ -722,6 +757,14 @@ _CALLS = {
     "unknown_flag": (2, "forecast", ["--bogus", "1"]),
     "horizon_not_an_integer": (2, "forecast", ["--horizon", "x"]),
     "components_on_gm": (2, "fit", ["--model", "gm", "--components", "dgm,gm"]),
+    # eight states (dof 49) have no embedded critical value: hybrid and
+    # backtest report no Markov test, and markov-test is a usage error
+    "eight_states_hybrid": (0, "hybrid", ["--components", "dgm_fmarkov,dgm", _EIGHT_STATES]),
+    "eight_states_backtest": (0, "backtest", ["--components", "dgm_fmarkov,dgm", _EIGHT_STATES]),
+    "eight_states_markov_test": (2, "markov-test", [_EIGHT_STATES]),
+    "min_variance_three_models": (
+        2, "hybrid", ["--scheme", "min_variance", "--components", "dgm_fmarkov,dgm,gm"],
+    ),
 }
 
 
@@ -758,6 +801,16 @@ _REPORTS = {
         {"markov_test": {"chi_squared": 1.0, "threshold": 3.8, "dof": 1, "verdict": 3}},
         "markov_test.verdict",
     ),
+    # each config field report prints, of the wrong type
+    "report_config_model_int": ({"config": {"model": 1}}, "config.model"),
+    "report_config_scheme_list": (
+        {"config": {"hybrid_scheme": ["grey_relation"]}}, "config.hybrid_scheme",
+    ),
+    "report_config_combine_null": (
+        {"config": {"horizon": [1, 2], "seed": "x", "combine": None}}, "config.combine",
+    ),
+    "report_config_horizon_list": ({"config": {"horizon": [1, 2]}}, "config.horizon"),
+    "report_config_seed_string": ({"config": {"seed": "x"}}, "config.seed"),
 }
 
 
@@ -841,6 +894,10 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        assert json.loads((tmp_path / "out.json").read_text())["markov_test"] is None
+        return
     assert err.startswith("error: ") and err.count("\n") == 1, err
     if probe == "model_missing_key":
         assert "'a'" in err
@@ -852,6 +909,8 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
         assert f"report field {_REPORTS[probe][1]} " in err, err
     if probe.startswith("backtest_folds"):
         assert "fold count must be at least 1" in err
+    if probe == "min_variance_three_models":
+        assert err == "error: min_variance weighting needs exactly 2 models, got 3\n"
 
 
 # Every error class and the exit code the CLI maps it to.
