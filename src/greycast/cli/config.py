@@ -82,9 +82,9 @@ class PipelineConfig:
         self.seed = _integer("seed", self.seed, 0)
 
     def echo(self, command: str) -> dict:
-        """Serializable snapshot for the report of ``command``: the fields it
-        reads and ``train``, in field order (not ``dataclasses.asdict``, whose
-        deep copy costs far more)."""
+        """Serializable snapshot for the report of ``command`` (``hybrid`` or
+        ``backtest``): the fields it reads and ``train``, in field order
+        (not ``dataclasses.asdict``, whose deep copy costs far more)."""
         echoed = (*READS[command], "train")
         doc = {name: getattr(self, name) for name in _CONFIG_FIELDS if name in echoed}
         if "state_boundaries" in doc:
@@ -97,7 +97,7 @@ class PipelineConfig:
 _CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig))
 
 #: The config fields each subcommand reads: it takes the flags of these
-#: only, and its report echoes these and ``train``.
+#: only, and a ``hybrid`` or ``backtest`` report echoes these and ``train``.
 READS = {
     "fit": ("model", "state_boundaries", "window", "hybrid_scheme", "combine", "rho", "seed"),
     "forecast": ("horizon",),

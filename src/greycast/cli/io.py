@@ -148,12 +148,8 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_series_csv(path, values, labels=None) -> None:
-    if labels is None:
-        _write_csv(path, ["value"], ([format_float(v)] for v in values))
-    else:
-        rows = ([label, format_float(v)] for label, v in zip(labels, values))
-        _write_csv(path, ["date", "value"], rows)
+def write_series_csv(path, values) -> None:
+    _write_csv(path, ["value"], ([format_float(v)] for v in values))
 
 
 def write_forecast_csv(path, start_t: int, values) -> None:

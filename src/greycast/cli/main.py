@@ -180,6 +180,9 @@ def cmd_forecast(args) -> int:
 
 
 def _markov_from_series(args, cfg: PipelineConfig):
+    """The Markov test of the residuals of a grey base model fitted to the
+    series, and the config that made them: that model, the boundaries and
+    alpha."""
     series = parse_series_csv(args.input)
     base_kind = "dgm" if args.model == "dgm_fmarkov" else args.model
     if base_kind not in ("gm", "dgm"):
@@ -189,7 +192,9 @@ def _markov_from_series(args, cfg: PipelineConfig):
     fitted = fit_model(base_kind, series.values, cfg)
     residuals = relative_residuals(series.values, fitted.fitted)
     partition = StatePartition(np.asarray(cfg.state_boundaries))
-    return _markov_summary(residuals.values, partition, cfg)
+    config = {"model": base_kind, "state_boundaries": list(cfg.state_boundaries),
+              "alpha": cfg.alpha}
+    return _markov_summary(residuals.values, partition, cfg), config
 
 
 def cmd_markov_test(args) -> int:
@@ -202,8 +207,9 @@ def cmd_markov_test(args) -> int:
         )
         marginals = marginal_distribution(occupancy, total)
         report = markov_property_test(tc, marginals, alpha=cfg.alpha)
+        config = {"alpha": cfg.alpha}  # the fixture's rows are the states
     else:
-        report = _markov_from_series(args, cfg)
+        report, config = _markov_from_series(args, cfg)
     print(f"chi-squared = {report.chi_squared:.4f} ({report.log_base} log)")
     print(f"dof = {report.dof}")
     print(f"threshold = {report.threshold:g} (alpha = {report.alpha:g})")
@@ -212,7 +218,7 @@ def cmd_markov_test(args) -> int:
         write_json(args.out, {
             "schema_version": 1,
             "command": "markov-test",
-            "config": cfg.echo("markov-test"),
+            "config": config,
             "markov_test": markov_report_doc(report),
         })
     return 0

@@ -72,7 +72,7 @@ from ..series import as_values, relative_residuals
 from .config import PipelineConfig
 from .docspec import check_keys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_COMPONENTS = ("dgm_fmarkov", "ignn")
 
 
@@ -111,10 +111,10 @@ class LoadedModel:
 
 @dataclass(frozen=True)
 class Kind:
-    """One model kind: its CLI ``name``; the tag its docs carry (``doc_kind``,
-    plus ``variant`` for a net); its batch ``fit``; its doc ``keys`` spec
-    (see :mod:`.docspec`); its ``check(doc, at)`` of fields that must agree,
-    run once the keys hold, which names each field after the prefix ``at``
+    """One model kind: its CLI ``name``, which its docs carry as their
+    ``"kind"``; its batch ``fit``; its doc ``keys`` spec (see
+    :mod:`.docspec`); its ``check(doc, at)`` of fields that must agree, run
+    once the keys hold, which names each field after the prefix ``at``
     (``components[i].`` inside a hybrid, else empty); and its ``load``,
     which maps a checked doc to its forecast function of the horizon and,
     for a hybrid only, of its components' forecasts.
@@ -122,19 +122,14 @@ class Kind:
     here: the record's own functions call them through the module globals."""
 
     name: str
-    doc_kind: str
     fit: Callable | None
     keys: dict
     load: Callable
     check: Callable[[dict, str], None] = lambda doc, at: None
-    variant: str | None = None
 
     def fitted_model(self, start_t, fitted, body: dict, markov_report=None, parts=()) -> FittedModel:
-        """A fit of this kind; its doc is the kind's tag, then ``body``."""
-        doc = {"schema_version": SCHEMA_VERSION, "kind": self.doc_kind}
-        if self.variant is not None:
-            doc["variant"] = self.variant
-        doc.update(body)
+        """A fit of this kind; its doc is the kind's name, then ``body``."""
+        doc = {"schema_version": SCHEMA_VERSION, "kind": self.name, **body}
         return FittedModel(self.name, start_t, fitted, doc, markov_report, tuple(parts))
 
 
@@ -179,7 +174,7 @@ def _load_gm(doc: dict):
     return lambda h: forecast_gm11(model, h)[model.n_fit :]
 
 
-GM = Kind("gm", "gm", _each(_fit_gm), {**_HEADER, **_GM_KEYS}, _load_gm)
+GM = Kind("gm", _each(_fit_gm), {**_HEADER, **_GM_KEYS}, _load_gm)
 
 
 def _dgm_doc(m: DgmModel) -> dict:
@@ -200,7 +195,7 @@ def _load_dgm(doc: dict):
     return lambda h: forecast_dgm(model, h)[model.n_fit :]
 
 
-DGM = Kind("dgm", "dgm", _each(_fit_dgm), {**_HEADER, **_DGM_KEYS}, _load_dgm)
+DGM = Kind("dgm", _each(_fit_dgm), {**_HEADER, **_DGM_KEYS}, _load_dgm)
 
 
 def _markov_summary(residuals, partition: StatePartition, cfg: PipelineConfig):
@@ -278,7 +273,7 @@ def _load_fmarkov(doc: dict):
     return forecast
 
 
-DGM_FMARKOV = Kind("dgm_fmarkov", "fmarkov", _each(_fit_dgm_fmarkov), {
+DGM_FMARKOV = Kind("dgm_fmarkov", _each(_fit_dgm_fmarkov), {
     **_HEADER, "dgm": _DGM_KEYS, "boundaries": ["number"], "fuzzy_counts": "matrix",
     "fuzzy_probs": "matrix", "degenerate_rows": ["bool"], "last_residual": "number",
     "last_actual": "number", "n_fit": "count",
@@ -373,10 +368,10 @@ def _load_ignn(doc: dict):
     return lambda h: ignn_forecast(forecaster, h)
 
 
-IGNN = Kind("ignn", "net", _fit_ignn, {
-    **_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count",
+IGNN = Kind("ignn", _fit_ignn, {
+    **_HEADER, "net": _NET_KEYS, "n_fit": "count",
     "window": "count", "ago_tail": ["number"],
-}, _load_ignn, _check_ignn, variant="ignn")
+}, _load_ignn, _check_ignn)
 
 
 def _sgnn_windows(n: int) -> list[int]:
@@ -422,10 +417,10 @@ def _load_sgnn(doc: dict):
     return lambda h: sgnn_forecast(forecaster, h)
 
 
-SGNN = Kind("sgnn", "net", _fit_sgnn, {
-    **_HEADER, "variant": "string", "net": _NET_KEYS, "n_fit": "count",
+SGNN = Kind("sgnn", _fit_sgnn, {
+    **_HEADER, "net": _NET_KEYS, "n_fit": "count",
     "gm_models": [_GM_KEYS], "offsets": ["int"],
-}, _load_sgnn, _check_sgnn, variant="sgnn")
+}, _load_sgnn, _check_sgnn)
 
 
 def compute_weights(actual, predictions, cfg: PipelineConfig) -> HybridWeights:
@@ -494,10 +489,10 @@ def _check_hybrid(doc: dict, at: str) -> None:
     """What ties the components together; each is loaded, and so checked, first."""
     components = doc["components"]
     for i, component in enumerate(components):
-        if component["kind"] == HYBRID.doc_kind:
+        if component["kind"] == HYBRID.name:
             raise DataError(
                 f"model document field '{at}components[{i}].kind' must name a base "
-                f"model, not {HYBRID.doc_kind!r}"
+                f"model, not {HYBRID.name!r}"
             )
     n_fit = components[0]["n_fit"]
     for i, component in enumerate(components):
@@ -529,7 +524,7 @@ def _load_hybrid(doc: dict):
 
 
 #: The hybrid fits through :func:`fit_model` with its components, not FITTERS.
-HYBRID = Kind("hybrid", "hybrid", None, {
+HYBRID = Kind("hybrid", None, {
     **_HEADER, "scheme": "string", "combine": "string", "weights": ["number"],
     "diagnostics": "object", "components": ["object"],
 }, _load_hybrid, _check_hybrid)
@@ -541,10 +536,8 @@ KINDS = (GM, DGM, DGM_FMARKOV, IGNN, SGNN)
 #: Tests may wrap entries to instrument what data a fit sees.
 FITTERS = {record.name: record.fit for record in KINDS}
 
-#: Doc "kind" -> record; the records of a "net" doc are told apart by its
-#: "variant".
-_BY_DOC_KIND = {r.doc_kind: r for r in (*KINDS, HYBRID) if r.variant is None}
-_NETS = {r.variant: r for r in KINDS if r.doc_kind == "net"}
+#: Doc "kind", the CLI name -> record.
+_BY_NAME = {record.name: record for record in (*KINDS, HYBRID)}
 
 
 def components_markov_report(fits) -> MarkovTestReport | None:
@@ -580,15 +573,13 @@ def model_from_doc(doc: dict, path: str = "") -> LoadedModel:
         raise DataError(f"model document must be a JSON object with a 'kind' field{where}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise DataError(
-            f"unsupported model schema_version {doc.get('schema_version')!r}{where}"
+            f"model schema_version {doc.get('schema_version')!r}{where} is not "
+            f"{SCHEMA_VERSION}, the one this greycast reads: refit the model"
         )
     kind = doc["kind"]
-    table, name = (_NETS, doc.get("variant")) if kind == "net" else (_BY_DOC_KIND, kind)
-    if not isinstance(name, str) or name not in table:
-        raise DataError(
-            f"unknown {'net variant' if kind == 'net' else 'model kind'} {name!r}{where}"
-        )
-    record = table[name]
+    if not isinstance(kind, str) or kind not in _BY_NAME:
+        raise DataError(f"unknown model kind {kind!r}{where}")
+    record = _BY_NAME[kind]
     check_keys(doc, record.keys, path)
     at = f"{path}." if path else ""
     # Only a hybrid's keys admit components: docs of their own, loaded first.

@@ -142,7 +142,7 @@ def test_fit_gm_on_constant_series(tmp_path, capsys):
     rc = main(["fit", "--model", "gm", "--input", str(data), "--out", str(model_path)])
     assert rc == 0
     doc = json.loads(model_path.read_text())
-    assert doc["kind"] == "gm" and doc["schema_version"] == 1
+    assert doc["kind"] == "gm" and doc["schema_version"] == 2
     assert abs(doc["a"]) < 1e-9
     assert abs(doc["u"] - 10.0) < 1e-9
 
@@ -158,6 +158,9 @@ def test_fit_then_forecast_round_trip(tmp_path, kind):
     out_path = tmp_path / "fc.csv"
     assert main(["fit", "--model", kind, "--input", str(data),
                  "--out", str(model_path), "--config", str(config)]) == 0
+    doc = json.loads(model_path.read_text())
+    for part, name in [(doc, kind), *zip(doc.get("components", ()), cli_models.DEFAULT_COMPONENTS)]:
+        assert part["schema_version"] == 2 and part["kind"] == name and "variant" not in part
     assert main(["forecast", "--input", str(model_path), "--horizon", "3", "--out", str(out_path)]) == 0
     rows = out_path.read_text().strip().splitlines()
     assert rows[0] == "t,forecast"
@@ -240,6 +243,44 @@ def test_markov_test_custom_boundaries(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "dof = 1" in out  # two states
     assert "threshold = 3.841" in out
+
+
+@pytest.mark.parametrize("model, base", [("gm", "gm"), ("dgm", "dgm"), ("dgm_fmarkov", "dgm")])
+def test_markov_test_report_names_its_base_model(tmp_path, capsys, model, base):
+    # --model is markov-test's own flag, not a config field, so the report
+    # names the base model it fitted; it echoes no train block, which the
+    # command never reads.
+    data = tmp_path / "series.csv"
+    write_series(data, synthetic_series(30, seed=9))
+    out_path = tmp_path / "markov.json"
+    assert main(["markov-test", "--input", str(data), "--out", str(out_path),
+                 "--model", model, "--alpha", "0.05"]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["schema_version"] == 1
+    assert doc["config"] == {
+        "model": base, "state_boundaries": list(PipelineConfig().state_boundaries), "alpha": 0.05,
+    }
+    values = synthetic_series(30, seed=9)
+    fitted = cli_models.fit_model(base, values, PipelineConfig()).fitted
+    residuals = relative_residuals(values, fitted).values
+    cfg = PipelineConfig(alpha=0.05)
+    expected = cli_models._markov_summary(residuals, StatePartition.default(), cfg)
+    assert doc["markov_test"] == json.loads(dump_json(cli_models.markov_report_doc(expected)))
+    capsys.readouterr()
+    assert main(["report", "--input", str(out_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"  config: model={base}"
+
+
+def test_markov_test_report_on_counts_echoes_alpha_only(tmp_path, capsys):
+    # The fixture's rows are the states and no model is fitted, so neither
+    # state_boundaries nor a model is echoed.
+    fixture = tmp_path / "fixture_states.csv"
+    write_counts_fixture(fixture)
+    out_path = tmp_path / "markov.json"
+    assert main(["markov-test", "--input", str(fixture), "--out", str(out_path)]) == 0
+    doc = json.loads(out_path.read_text())
+    assert doc["config"] == {"alpha": 0.01}
+    assert doc["markov_test"]["dof"] == 25
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +722,9 @@ _DOC_EDITS = {
     "hybrid_component_dgm_n_fit_other": ("hybrid", ("components", 0, "dgm", "n_fit"), 5),
     # a hybrid's component is a base model, and its weights lie on the simplex
     "hybrid_component_hybrid": ("hybrid", ("components", 0), {
-        "schema_version": 1, "kind": "hybrid", "scheme": "grey_relation",
+        "schema_version": 2, "kind": "hybrid", "scheme": "grey_relation",
         "combine": "arithmetic", "weights": [0.5, 0.5], "diagnostics": {},
-        "components": [{"schema_version": 1, "kind": "gm", "a": -0.01, "u": 10.0,
+        "components": [{"schema_version": 2, "kind": "gm", "a": -0.01, "u": 10.0,
                         "x0_first": 10.0, "n_fit": 30}] * 2,
     }),
     "hybrid_weights_sum_above_one": ("hybrid", ("weights",), [0.5, 0.7]),
@@ -984,6 +1025,68 @@ def test_model_doc_names_a_missing_nested_key(kind, path):
     del node[path[-1]]
     with pytest.raises(DataError, match=f"missing key '[^']*{path[-1]}'"):
         cli_models.model_from_doc(doc)
+
+
+# The kind tags that schema 1 wrote where they were not the CLI name.
+_SCHEMA_1_TAGS = {
+    "dgm_fmarkov": {"kind": "fmarkov"},
+    "ignn": {"kind": "net", "variant": "ignn"},
+    "sgnn": {"kind": "net", "variant": "sgnn"},
+}
+
+# A doc to refit, and the path of the part that carries the old schema or
+# tag: the doc itself, or one component of a dgm_fmarkov,ignn hybrid.
+_OLD_DOCS = [
+    ("gm", ()), ("dgm_fmarkov", ()), ("ignn", ()), ("sgnn", ()), ("hybrid", ()),
+    ("hybrid", ("components", 0)), ("hybrid", ("components", 1)),
+]
+
+
+def _old_doc_id(kind, path, *_):
+    return f"{kind}.components[{path[1]}]" if path else kind
+
+
+def _forecast_old_doc(tmp_path, capsys, kind, path, edit):
+    """Forecast from a fitted ``kind`` doc whose part at ``path`` is edited
+    by ``edit``; return the exit code and stderr."""
+    cfg = PipelineConfig(train=TrainConfig(epochs=2))
+    doc = cli_models.fit_model(kind, synthetic_series(30, seed=9), cfg).to_doc()
+    part = doc
+    for key in path:
+        part = part[key]
+    edit(part)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["forecast", "--input", str(model), "--out", str(tmp_path / "f.csv")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, path", _OLD_DOCS, ids=[_old_doc_id(*p) for p in _OLD_DOCS])
+def test_schema_1_doc_exits_5_saying_to_refit(tmp_path, capsys, kind, path):
+    def to_schema_1(part):
+        part.update(_SCHEMA_1_TAGS.get(part["kind"], {}), schema_version=1)
+
+    code, err = _forecast_old_doc(tmp_path, capsys, kind, path, to_schema_1)
+    where = f" in 'components[{path[1]}]'" if path else ""
+    assert (code, err) == (5, f"error: model schema_version 1{where} is not 2, "
+                              "the one this greycast reads: refit the model\n")
+
+
+_RETAGGED = [
+    ("dgm_fmarkov", (), "fmarkov"), ("ignn", (), "net"), ("sgnn", (), "net"),
+    ("hybrid", ("components", 0), "fmarkov"), ("hybrid", ("components", 1), "net"),
+]
+
+
+@pytest.mark.parametrize("kind, path, tag", _RETAGGED, ids=[_old_doc_id(*p) for p in _RETAGGED])
+def test_schema_2_doc_with_a_schema_1_tag_exits_5(tmp_path, capsys, kind, path, tag):
+    def retag(part):
+        part.update(_SCHEMA_1_TAGS[part["kind"]])
+
+    code, err = _forecast_old_doc(tmp_path, capsys, kind, path, retag)
+    where = f" in 'components[{path[1]}]'" if path else ""
+    assert (code, err) == (5, f"error: unknown model kind {tag!r}{where}\n")
 
 
 def test_models_names_each_kind_record_and_hybrid():
