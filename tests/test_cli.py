@@ -256,14 +256,11 @@ def test_markov_test_report_names_its_base_model(tmp_path, capsys, model, base):
     assert main(["markov-test", "--input", str(data), "--out", str(out_path),
                  "--model", model, "--alpha", "0.05"]) == 0
     doc = json.loads(out_path.read_text())
-    assert doc["schema_version"] == 1
-    assert doc["config"] == {
-        "model": base, "state_boundaries": list(PipelineConfig().state_boundaries), "alpha": 0.05,
-    }
-    values = synthetic_series(30, seed=9)
-    fitted = cli_models.fit_model(base, values, PipelineConfig()).fitted
-    residuals = relative_residuals(values, fitted).values
     cfg = PipelineConfig(alpha=0.05)
+    assert doc["schema_version"] == 1
+    assert doc["config"] == {"model": base, "state_boundaries": list(cfg.state_boundaries), "alpha": 0.05}
+    values = synthetic_series(30, seed=9)
+    residuals = relative_residuals(values, cli_models.fit_model(base, values, cfg).fitted).values
     expected = cli_models._markov_summary(residuals, StatePartition.default(), cfg)
     assert doc["markov_test"] == json.loads(dump_json(cli_models.markov_report_doc(expected)))
     capsys.readouterr()
