@@ -74,6 +74,6 @@ from .neural import (
     train_bp,
     train_bp_batch,
 )
-from .series import ResidualSeries, TimeSeries, ago, as_values, iago, make_windows, relative_residuals
+from .series import ResidualSeries, TimeSeries, ago, as_values, iago, relative_residuals
 
 __version__ = "0.1.0"

@@ -130,7 +130,7 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
     raw: dict = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 raw = json.load(handle)
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc

@@ -21,7 +21,9 @@ SERIES_HEADERS = (("value",), ("date", "value"))
 def _open_input(path, newline=None):
     """Open ``path`` for reading; a missing or unreadable file is exit 3."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as handle:
+        # utf-8-sig drops the byte-order mark that some editors (Excel's
+        # "CSV UTF-8", say) write first; a file without one reads as utf-8.
+        with open(path, newline=newline, encoding="utf-8-sig") as handle:
             yield handle
     except FileNotFoundError as exc:
         raise MissingInputError(f"input file not found: {path}") from exc
@@ -56,7 +58,8 @@ def sniff_csv_kind(path) -> str:
 
 
 def parse_series_csv(source) -> TimeSeries:
-    """Parse a 'value' or 'date,value' CSV into a TimeSeries.
+    """Parse a 'value' or 'date,value' CSV into a TimeSeries; a date
+    column is read and ignored.
 
     Row numbers in error messages are 1-based file rows (the header is
     row 1).
@@ -66,9 +69,7 @@ def parse_series_csv(source) -> TimeSeries:
         raise CsvParseError(
             f"unrecognized header {list(rows[0])!r}; expected 'value' or 'date,value'"
         )
-    has_dates = header == ("date", "value")
     values: list[float] = []
-    labels: list[str] = []
     for offset, row in enumerate(rows[1:], start=2):
         if _normalize(row) == header:
             raise CsvParseError(f"duplicate header at row {offset}")
@@ -83,11 +84,9 @@ def parse_series_csv(source) -> TimeSeries:
             raise CsvParseError(
                 f"could not parse value {raw!r} at row {offset}"
             ) from exc
-        if has_dates:
-            labels.append(row[0].strip())
     if not values:
         raise CsvParseError("no data rows found")
-    return TimeSeries(np.asarray(values), tuple(labels) if has_dates else None)
+    return TimeSeries(np.asarray(values))
 
 
 def parse_counts_csv(source) -> tuple[np.ndarray, np.ndarray]:

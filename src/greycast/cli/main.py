@@ -9,7 +9,8 @@ Exit codes map one-to-one onto error classes:
     2  configuration or usage error
     3  missing or unreadable input file
     4  CSV parse error
-    5  data precondition violated (length, sign, alignment, degeneracy)
+    5  data precondition violated (length, sign, alignment, degeneracy),
+       or an input too large to hold in memory
     6  numeric failure (rank, overflow, divergence)
 """
 
@@ -141,16 +142,7 @@ def _load_json_doc(path: str) -> dict:
 
 
 def cmd_synth(args) -> int:
-    values = synthetic_series(
-        n=args.n,
-        seed=args.seed if args.seed is not None else 0,
-        base=args.base,
-        trend=args.trend,
-        noise=args.noise,
-        ar=args.ar,
-        shifts=args.shifts,
-        shift_scale=args.shift_scale,
-    )
+    values = synthetic_series(n=args.n, seed=args.seed if args.seed is not None else 0)
     write_series_csv(args.out, values)
     print(f"wrote {values.size} synthetic values to {args.out}")
     return 0
@@ -396,12 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=278)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--base", type=float, default=100.0)
-    p.add_argument("--trend", type=float, default=0.05)
-    p.add_argument("--noise", type=float, default=0.6)
-    p.add_argument("--ar", type=float, default=0.75)
-    p.add_argument("--shifts", type=int, default=2)
-    p.add_argument("--shift-scale", type=float, default=4.0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model and persist it as JSON")
@@ -467,6 +453,12 @@ def main(argv=None) -> int:
     except GreycastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
+    except MemoryError as exc:
+        # An input that asks for more values than the machine can hold, such
+        # as a model doc whose n_fit is 10**18, is a data error.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: input too large to hold in memory{detail}", file=sys.stderr)
+        return dict(_EXIT_CODES)[DataError]
 
 
 def console_main() -> None:

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DataError,
     DegeneracyError,
     InsufficientDataError,
     PositivityError,
     SingularSystemError,
 )
-from .series import as_horizon, as_values, iago
+from .series import as_horizon, as_pair, as_values, iago
 
 GRADE_GOOD = "Good"
 GRADE_QUALIFIED = "Qualified"
@@ -113,10 +112,7 @@ def posterior_test(actual, predicted) -> PosteriorReport:
     deviation from the mean error stays within 0.6745 data standard
     deviations (ties count as inside).
     """
-    y = as_values(actual, min_len=2)
-    f = as_values(predicted)
-    if y.size != f.size:
-        raise DataError(f"series lengths differ: {y.size} vs {f.size}")
+    y, f = as_pair(actual, predicted, min_len=2)
     s1 = float(np.std(y, ddof=1))
     if s1 == 0.0:
         raise DegeneracyError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, DegeneracyError
-from .series import as_values
+from .series import as_pair, as_values
 
 SCHEME_EFFECTIVE = "effective_degree"
 SCHEME_MIN_VARIANCE = "min_variance"
@@ -60,10 +60,7 @@ class RelationConfig:
 
 def accuracy_series(actual, predicted) -> np.ndarray:
     """Per-point accuracy 1 - |relative error|; can go negative, never clamped."""
-    y = as_values(actual)
-    f = as_values(predicted)
-    if y.size != f.size:
-        raise DataError(f"series lengths differ: {y.size} vs {f.size}")
+    y, f = as_pair(actual, predicted)
     zero = np.nonzero(y == 0.0)[0]
     if zero.size:
         raise DegeneracyError(
@@ -107,10 +104,7 @@ def min_variance_weight(e1, e2, assume_independent: bool = False) -> HybridWeigh
     the OTHER model (plus the covariance correction), so the lower-variance
     model receives the larger weight.
     """
-    a = as_values(e1, min_len=2)
-    b = as_values(e2, min_len=2)
-    if a.size != b.size:
-        raise DataError(f"error series lengths differ: {a.size} vs {b.size}")
+    a, b = as_pair(e1, e2, min_len=2)
     var1 = float(np.var(a, ddof=1))
     var2 = float(np.var(b, ddof=1))
     cov = 0.0 if assume_independent else float(np.cov(a, b, ddof=1)[0, 1])
@@ -149,17 +143,22 @@ def project_to_simplex(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
+def _columns(forecasts, n: int | None = None) -> np.ndarray:
+    """The forecasts as the columns of one matrix; each must hold ``n``
+    values, or as many as the first when ``n`` is None."""
+    columns = [as_values(f) for f in forecasts]
+    n = columns[0].size if n is None else n
+    for j, col in enumerate(columns):
+        if col.size != n:
+            raise DataError(f"forecast {j + 1} has length {col.size}, expected {n}")
+    return np.column_stack(columns)
+
+
 def _forecast_matrix(actual, forecasts) -> tuple[np.ndarray, np.ndarray]:
     y = as_values(actual)
-    columns = [as_values(f) for f in forecasts]
-    if len(columns) < 2:
-        raise DataError(f"need at least 2 forecasts, got {len(columns)}")
-    for j, col in enumerate(columns):
-        if col.size != y.size:
-            raise DataError(
-                f"forecast {j + 1} has length {col.size}, expected {y.size}"
-            )
-    return y, np.column_stack(columns)
+    if len(forecasts) < 2:
+        raise DataError(f"need at least 2 forecasts, got {len(forecasts)}")
+    return y, _columns(forecasts, y.size)
 
 
 def _identical_forecasts(f: np.ndarray) -> bool:
@@ -252,10 +251,7 @@ def grey_relation_degree(actual, predicted, peer_errors=None, cfg: RelationConfi
     is defined when several candidate methods are compared at once.
     """
     cfg = cfg or RelationConfig()
-    y = as_values(actual)
-    f = as_values(predicted)
-    if y.size != f.size:
-        raise DataError(f"series lengths differ: {y.size} vs {f.size}")
+    y, f = as_pair(actual, predicted)
     own = np.abs(y - f)
     pools = [own]
     for peer in peer_errors or ():
@@ -415,16 +411,11 @@ def combine_forecasts(forecasts, w, scheme: str = COMBINE_ARITHMETIC) -> np.ndar
     if scheme not in COMBINE_SCHEMES:
         raise ConfigError(f"unknown combination scheme {scheme!r}")
     weights = w.weights if isinstance(w, HybridWeights) else np.asarray(w, dtype=float)
-    columns = [as_values(f) for f in forecasts]
-    if len(columns) != weights.size:
+    if len(forecasts) != weights.size:
         raise DataError(
-            f"got {len(columns)} forecasts for {weights.size} weights"
+            f"got {len(forecasts)} forecasts for {weights.size} weights"
         )
-    n = columns[0].size
-    for j, col in enumerate(columns):
-        if col.size != n:
-            raise DataError(f"forecast {j + 1} has length {col.size}, expected {n}")
-    f = np.column_stack(columns)
+    f = _columns(forecasts)
     if scheme == COMBINE_ARITHMETIC:
         return f @ weights
     if np.any(f <= 0):

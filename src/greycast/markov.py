@@ -305,14 +305,14 @@ def fmarkov_correct(fitted, actual, fm: FuzzyMarkovModel) -> np.ndarray:
     fit, where drift is :func:`expected_drift`; the first two points have
     no usable previous residual and pass through unchanged.
     """
-    residuals = relative_residuals(actual, fitted)
+    residuals = relative_residuals(actual, fitted).values
     fitted = np.asarray(fitted, dtype=float)
     actual = np.asarray(actual, dtype=float)
     # Expected destination midpoint from each state, the same for every point.
     state_drift = fm.fuzzy_probs @ fm.midpoints
     out = fitted.copy()
-    # residuals.values[i] is Z at time residuals.start_t + i (1-based).
-    for t in range(residuals.start_t + 1, fitted.size + 1):
-        mu = fuzzy_memberships(residuals.values[t - residuals.start_t - 1], fm.partition)
+    # residuals[i] is Z at time i + 2 (1-based), so Z[t-1] is residuals[t - 3].
+    for t in range(3, fitted.size + 1):
+        mu = fuzzy_memberships(residuals[t - 3], fm.partition)
         out[t - 1] = fitted[t - 1] + float(mu @ state_drift) * actual[t - 2]
     return out

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .series import as_values
+from .series import as_pair
 
 
 @dataclass(frozen=True)
@@ -29,10 +28,7 @@ class EvaluationReport:
 
 
 def evaluate(actual, predicted) -> EvaluationReport:
-    y = as_values(actual)
-    f = as_values(predicted)
-    if y.size != f.size:
-        raise DataError(f"series lengths differ: {y.size} vs {f.size}")
+    y, f = as_pair(actual, predicted)
     err = f - y
     mse = float(np.mean(err**2))
     mae = float(np.mean(np.abs(err)))

@@ -3,7 +3,8 @@
 The accumulated generating operation (AGO) and its inverse (IAGO) are the
 running-sum / first-difference pair every grey model is built on.  All
 functions here are pure and accept either a :class:`TimeSeries` or any
-1-D array-like of finite reals.
+1-D array-like of finite reals; :func:`as_values` and :func:`as_pair` are
+the one place such an input is validated.
 """
 
 from __future__ import annotations
@@ -14,30 +15,15 @@ import numpy as np
 
 from .errors import DataError, DegeneracyError, EmptySeriesError, InsufficientDataError
 
-DEFAULT_WINDOW = 4
-
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Ordered real observations with optional ISO-8601 date labels."""
+    """Ordered real observations, validated by :func:`as_values`."""
 
     values: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if values.ndim != 1 or values.size == 0:
-            raise EmptySeriesError("a time series must hold at least one value")
-        if not np.all(np.isfinite(values)):
-            raise DataError("time series values must all be finite")
-        object.__setattr__(self, "values", values)
-        if self.labels is not None:
-            labels = tuple(str(v) for v in self.labels)
-            if len(labels) != values.size:
-                raise DataError(
-                    f"got {len(labels)} labels for {values.size} values"
-                )
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", as_values(self.values))
 
     def __len__(self) -> int:
         return self.values.size
@@ -45,14 +31,9 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class ResidualSeries:
-    """Relative residuals with an explicit 1-based starting time.
-
-    ``values[0]`` is the residual at time ``start_t``; storing the offset
-    keeps downstream state indexing unambiguous.
-    """
+    """Relative residuals; ``values[0]`` is the residual at time 2 (1-based)."""
 
     values: np.ndarray
-    start_t: int = 2
 
 
 def as_values(x, min_len: int = 1) -> np.ndarray:
@@ -72,6 +53,18 @@ def as_values(x, min_len: int = 1) -> np.ndarray:
             f"series has {values.size} values but at least {min_len} are required"
         )
     return values
+
+
+def as_pair(a, b, min_len: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Two validated series of one length, such as actuals and a forecast.
+
+    ``min_len`` applies to ``a``; ``b`` must then match its length.
+    """
+    x = as_values(a, min_len)
+    y = as_values(b)
+    if x.size != y.size:
+        raise DataError(f"series lengths differ: {x.size} vs {y.size}")
+    return x, y
 
 
 def as_horizon(horizon) -> int:
@@ -101,29 +94,11 @@ def iago(x1) -> np.ndarray:
 
 def relative_residuals(actual, fitted) -> ResidualSeries:
     """Residual ratios (actual[t] - fitted[t]) / actual[t-1] for t = 2..N."""
-    y = as_values(actual, min_len=2)
-    f = as_values(fitted)
-    if y.size != f.size:
-        raise DataError(f"series lengths differ: {y.size} vs {f.size}")
+    y, f = as_pair(actual, fitted, min_len=2)
     denom = y[:-1]
     zero = np.nonzero(denom == 0.0)[0]
     if zero.size:
         raise DegeneracyError(
             f"actual value at t={zero[0] + 1} is zero; residual ratio undefined"
         )
-    return ResidualSeries((y[1:] - f[1:]) / denom, start_t=2)
-
-
-def make_windows(x, window: int = DEFAULT_WINDOW) -> list[tuple[np.ndarray, float]]:
-    """Sliding (input window, next value) samples for one-step-ahead training."""
-    if window < 1:
-        raise DataError("window must be a positive integer")
-    values = as_values(x)
-    if values.size < window + 1:
-        raise InsufficientDataError(
-            f"need at least {window + 1} values for window {window}, got {values.size}"
-        )
-    return [
-        (values[i : i + window].copy(), float(values[i + window]))
-        for i in range(values.size - window)
-    ]
+    return ResidualSeries((y[1:] - f[1:]) / denom)

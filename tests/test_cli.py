@@ -62,7 +62,6 @@ def write_counts_fixture(path):
 def test_parse_value_only_csv():
     ts = parse_series_csv(io.StringIO("value\n1\n2\n3\n"))
     assert ts.values.tolist() == [1.0, 2.0, 3.0]
-    assert ts.labels is None
 
 
 def test_parse_dated_csv():
@@ -70,7 +69,6 @@ def test_parse_dated_csv():
         io.StringIO("date,value\n1994-09-01,99.1\n1994-09-02,99.4\n")
     )
     assert np.allclose(ts.values, [99.1, 99.4])
-    assert ts.labels == ("1994-09-01", "1994-09-02")
 
 
 def test_parse_error_names_row():
@@ -93,6 +91,43 @@ def test_parse_counts_fixture(tmp_path):
     counts, occupancy = parse_counts_csv(path)
     assert np.array_equal(counts, PUBLISHED_COUNTS)
     assert np.array_equal(occupancy, PUBLISHED_OCCUPANCY)
+
+
+# The UTF-8 byte-order mark that Excel's "CSV UTF-8" and some editors write
+# at the start of a file.
+_BOM = b"\xef\xbb\xbf"
+
+
+def _with_bom(path):
+    path.write_bytes(_BOM + path.read_bytes())
+    return path
+
+
+def test_bom_series_fits_to_the_doc_of_its_twin(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_series(plain, synthetic_series(40, seed=3))
+    bom.write_bytes(_BOM + plain.read_bytes())
+    for data in (plain, bom):
+        argv = ["fit", "--model", "dgm_fmarkov", "--input", str(data), "--out", str(data) + ".json"]
+        assert main(argv) == 0
+    assert (tmp_path / "bom.csv.json").read_bytes() == (tmp_path / "plain.csv.json").read_bytes()
+
+
+def test_bom_config_counts_and_model_doc_load(tmp_path):
+    counts = tmp_path / "counts.csv"
+    write_counts_fixture(counts)
+    assert np.array_equal(parse_counts_csv(_with_bom(counts))[0], PUBLISHED_COUNTS)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"alpha": 0.05}))
+    assert load_config(str(_with_bom(config)), {}).alpha == 0.05
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    write_series(data, synthetic_series(30, seed=9))
+    assert main(["fit", "--model", "gm", "--input", str(data), "--out", str(model)]) == 0
+    plain_fc, bom_fc = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    assert main(["forecast", "--input", str(model), "--horizon", "3", "--out", str(plain_fc)]) == 0
+    _with_bom(model)
+    assert main(["forecast", "--input", str(model), "--horizon", "3", "--out", str(bom_fc)]) == 0
+    assert bom_fc.read_bytes() == plain_fc.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -907,7 +942,7 @@ def _probe_argv(tmp_path, probe):
         return fit + ["--config", str(tmp_path)]
     if probe == "synth_seed_negative":
         return ["synth", "--n", "10", "--seed", "-3", "--out", str(tmp_path / "x.csv")]
-    if probe == "synth_noise_nan":  # would write a CSV of nulls and exit 0
+    if probe == "synth_noise_nan":  # --noise is not a synth flag; its shape is fixed
         return ["synth", "--n", "10", "--noise", "nan", "--out", str(tmp_path / "x.csv")]
     assert probe == "unwritable_output"
     return fit[:-1] + [str(tmp_path / "no_such_dir" / "m.json")]
@@ -949,6 +984,24 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
         assert "fold count must be at least 1" in err
     if probe == "min_variance_three_models":
         assert err == "error: min_variance weighting needs exactly 2 models, got 3\n"
+
+
+@pytest.mark.parametrize("kind", ["gm", "dgm", "dgm_fmarkov"])
+def test_model_doc_too_large_to_hold_exits_5(tmp_path, capsys, kind):
+    # 10**18 float64 values are 8 EiB, which every machine fails to allocate.
+    data, model = tmp_path / "data.csv", tmp_path / "m.json"
+    write_series(data, synthetic_series(30, seed=9))
+    assert main(["fit", "--model", kind, "--input", str(data), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    for part in (doc, doc.get("dgm", {})):
+        part["n_fit"] = 10**18
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(model), "--out", str(tmp_path / "f.csv")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input too large to hold in memory"), captured.err
+    assert captured.err.count("\n") == 1
 
 
 # Every error class and the exit code the CLI maps it to.

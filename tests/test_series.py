@@ -7,9 +7,13 @@ from greycast import (
     EmptySeriesError,
     InsufficientDataError,
     TimeSeries,
+    accuracy_series,
     ago,
+    evaluate,
+    grey_relation_degree,
     iago,
-    make_windows,
+    min_variance_weight,
+    posterior_test,
     relative_residuals,
 )
 
@@ -65,7 +69,6 @@ def test_ago_linearity():
 
 def test_relative_residuals_examples():
     r = relative_residuals([100, 110, 105], [100, 108, 106])
-    assert r.start_t == 2
     assert np.allclose(r.values, [0.02, -1 / 110])
 
     same = relative_residuals([3.0, 4.0, 5.0], [3.0, 4.0, 5.0])
@@ -84,34 +87,28 @@ def test_relative_residuals_errors():
         relative_residuals([1.0], [1.0])
 
 
-def test_make_windows_examples():
-    samples = make_windows([1, 2, 3, 4, 5, 6], window=4)
-    assert len(samples) == 2
-    assert samples[0][0].tolist() == [1, 2, 3, 4] and samples[0][1] == 5
-    assert samples[1][0].tolist() == [2, 3, 4, 5] and samples[1][1] == 6
-
-    samples = make_windows([1, 2], window=1)
-    assert len(samples) == 1
-    assert samples[0][0].tolist() == [1] and samples[0][1] == 2
-
-    with pytest.raises(InsufficientDataError, match="at least 5"):
-        make_windows([1, 2, 3], window=4)
-
-
-def test_make_windows_count_property():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        n = int(rng.integers(2, 60))
-        window = int(rng.integers(1, n))
-        assert len(make_windows(rng.normal(size=n), window)) == n - window
+@pytest.mark.parametrize("check", [
+    relative_residuals, accuracy_series, grey_relation_degree, min_variance_weight,
+    evaluate, posterior_test,
+], ids=lambda check: check.__name__)
+def test_unequal_lengths_share_one_message(check):
+    # Every function that scores one series against another validates the
+    # pair through series.as_pair, so all of them word the error alike.
+    with pytest.raises(DataError) as info:
+        check([1.0, 2.0, 3.0], [1.0, 2.0])
+    assert str(info.value) == "series lengths differ: 3 vs 2"
 
 
 def test_time_series_validation():
-    ts = TimeSeries([1.0, 2.0], labels=["1994-09-01", "1994-09-02"])
-    assert len(ts) == 2 and ts.labels == ("1994-09-01", "1994-09-02")
-    with pytest.raises(DataError):
-        TimeSeries([1.0, 2.0], labels=["only-one"])
-    with pytest.raises(DataError):
+    ts = TimeSeries([1.0, 2.0])
+    assert len(ts) == 2 and ts.values.tolist() == [1.0, 2.0]
+    with pytest.raises(DataError, match="must all be finite"):
         TimeSeries([1.0, np.nan])
     with pytest.raises(EmptySeriesError):
         TimeSeries([])
+
+
+def test_two_dimensional_time_series_is_a_data_error():
+    # A 2-D input holds values, so "empty" would misname what is wrong.
+    with pytest.raises(DataError, match="series must be one-dimensional"):
+        TimeSeries([[1.0, 2.0], [3.0, 4.0]])
