@@ -1,8 +1,9 @@
 """Rolling-origin backtest: refit at each origin, forecast h steps ahead.
 
 Each fold refits every model on the observations up to its origin only,
-so no fold ever sees data from its own evaluation window.  Each model kind
-is fitted to all folds in one call, so the folds' networks train together.
+so no fold ever sees data from its own evaluation window.  One hybrid fit
+call serves all folds: it fits each component kind to every fold at once,
+so the folds' networks train together.
 The held-out steps form one table, from which the pooled metrics, each
 lead's MAPE over the folds and the plot rows are all read.
 """
@@ -16,8 +17,6 @@ from ..hybrid import combine_forecasts  # noqa: F401  (kept importable here; ben
 from ..series import as_values
 from .config import PipelineConfig
 from .models import (
-    DEFAULT_COMPONENTS,
-    assemble_hybrid,
     components_markov_report,
     fit_model,  # noqa: F401  (kept importable here; bench/spans.py times it)
     fit_models,
@@ -27,12 +26,7 @@ from .models import (
 )
 
 
-def run_backtest(
-    values,
-    cfg: PipelineConfig,
-    components=DEFAULT_COMPONENTS,
-    folds: int = 5,
-) -> tuple[dict, list[str], list[list]]:
+def run_backtest(values, cfg: PipelineConfig, folds=5) -> tuple[dict, list[str], list[list]]:
     """Returns (report dict, plot header, plot rows)."""
     values = as_values(values)
     n = values.size
@@ -47,14 +41,13 @@ def run_backtest(
             f"observations, got {n}"
         )
 
-    names = list(components)
+    names = list(cfg.components)
     origins = [first_origin + fold * h for fold in range(folds)]
-    trains = [values[:origin] for origin in origins]
-    fits_by_kind = [fit_models(name, trains, cfg) for name in names]
+    hybrids = fit_models("hybrid", [values[:origin] for origin in origins], cfg)
 
     fold_docs, blocks = [], []
-    for origin, train, fits in zip(origins, trains, zip(*fits_by_kind)):
-        doc = assemble_hybrid(train, fits, cfg, in_sample=False).to_doc()
+    for origin, hybrid in zip(origins, hybrids):
+        doc = hybrid.to_doc()
         forecasts, hybrid_forecast = model_from_doc(doc).forecasts(h)
         fold_docs.append({"origin": origin, "horizon": h, "weights": doc["weights"]})
         blocks.append(
@@ -74,7 +67,6 @@ def run_backtest(
             ],
         }
 
-    last_fold = [fits[-1] for fits in fits_by_kind]
     report = {
         "schema_version": 1,
         "command": "backtest",
@@ -83,7 +75,7 @@ def run_backtest(
         "folds": fold_docs,
         "models": {name: metrics[name] for name in names},
         "hybrid": {"scheme": cfg.hybrid_scheme, "metrics": metrics["hybrid"]},
-        "markov_test": markov_report_doc(components_markov_report(last_fold)),
+        "markov_test": markov_report_doc(components_markov_report(hybrids[-1].parts)),
     }
     header = ["t", "actual"] + names + ["hybrid"]
     plot_rows = [

@@ -8,11 +8,12 @@ from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 from ..errors import ConfigError, DataError
-from ..hybrid import COMBINE_SCHEMES, SCHEMES
+from ..hybrid import COMBINE_SCHEMES, SCHEME_MIN_VARIANCE, SCHEMES
 from ..markov import DEFAULT_BOUNDARIES
 from ..neural import TrainConfig
 
 MODELS = ("gm", "dgm", "dgm_fmarkov", "ignn", "sgnn", "hybrid")
+BASE_MODELS = MODELS[:-1]  # the kinds a hybrid combines
 ALPHAS = (0.01, 0.05)
 
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
@@ -38,6 +39,7 @@ def _number(name: str, value) -> float:
 @dataclass
 class PipelineConfig:
     model: str = "gm"
+    components: tuple[str, ...] = ("dgm_fmarkov", "ignn")
     state_boundaries: tuple[float, ...] = DEFAULT_BOUNDARIES
     window: int = 4
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -51,6 +53,16 @@ class PipelineConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+        if not isinstance(self.components, (list, tuple)):
+            raise ConfigError(f"components must be a list of model kinds, got {self.components!r}")
+        for kind in self.components:
+            if kind not in BASE_MODELS:
+                raise ConfigError(f"components must name base models {BASE_MODELS}, got {kind!r}")
+        self.components = tuple(self.components)
+        if len(self.components) < 2 or len(set(self.components)) < len(self.components):
+            raise ConfigError(
+                f"components must name 2 or more distinct model kinds, got {list(self.components)}"
+            )
         if not isinstance(self.state_boundaries, (list, tuple)):
             raise ConfigError(
                 f"state_boundaries must be a list of numbers, got {self.state_boundaries!r}"
@@ -72,6 +84,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"combine must be one of {COMBINE_SCHEMES}, got {self.combine!r}"
             )
+        if self.hybrid_scheme == SCHEME_MIN_VARIANCE and len(self.components) != 2:
+            # compute_weights refuses this too, but only once every component is fitted
+            raise ConfigError(
+                f"min_variance weighting needs exactly 2 models, got {len(self.components)}"
+            )
         self.rho = _number("rho", self.rho)
         if not (0.0 < self.rho < 1.0):
             raise ConfigError(f"rho must lie strictly in (0, 1), got {self.rho}")
@@ -86,9 +103,8 @@ class PipelineConfig:
         ``backtest``): the fields it reads and ``train``, in field order
         (not ``dataclasses.asdict``, whose deep copy costs far more)."""
         echoed = (*READS[command], "train")
-        doc = {name: getattr(self, name) for name in _CONFIG_FIELDS if name in echoed}
-        if "state_boundaries" in doc:
-            doc["state_boundaries"] = list(self.state_boundaries)
+        values = ((name, getattr(self, name)) for name in _CONFIG_FIELDS if name in echoed)
+        doc = {name: list(v) if isinstance(v, tuple) else v for name, v in values}
         doc["train"] = {name: getattr(self.train, name) for name in _TRAIN_DEFAULTS}
         return doc
 
@@ -99,7 +115,7 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(PipelineConfig))
 #: The config fields each subcommand reads: it takes the flags of these
 #: only, and a ``hybrid`` or ``backtest`` report echoes these and ``train``.
 READS = {
-    "fit": ("model", "state_boundaries", "window", "hybrid_scheme", "combine", "rho", "seed"),
+    "fit": tuple(name for name in _CONFIG_FIELDS if name not in ("train", "alpha", "horizon")),
     "forecast": ("horizon",),
     "markov-test": ("state_boundaries", "alpha"),
     "hybrid": tuple(name for name in _CONFIG_FIELDS if name not in ("model", "train")),
@@ -163,3 +179,8 @@ def parse_boundaries(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"invalid boundary list {text!r}: {exc}") from exc
+
+
+def parse_components(text: str) -> tuple[str, ...]:
+    """Parse a comma-separated list of model kinds from a flag value."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())

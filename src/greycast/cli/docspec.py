@@ -5,12 +5,16 @@ turn; the object may hold no other key.  A one-element list is a non-empty
 JSON list whose items each match that element; a longer list is a JSON
 list of exactly that many items, each matching the element in its place.
 A string names a leaf: "int", "count" (an integer of at least 1),
-"number", "string", "bool", "object" (any JSON object), or "matrix" (a
-non-empty list of equal-length lists of numbers).  Sizes that tie one
-field to another are each model kind's own check (``cli.models.Kind``).
+"number" (finite as a float: ``json`` also reads ``NaN``, ``Infinity``,
+which greycast never writes, and integers beyond the float range),
+"string", "bool", "object" (any JSON object), or "matrix" (a non-empty
+list of equal-length lists of numbers).  Sizes that tie one field to
+another are each model kind's own check (``cli.models.Kind``).
 """
 
 from __future__ import annotations
+
+import math
 
 from ..errors import DataError
 
@@ -19,10 +23,19 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 LEAVES = {
     "int": ("an integer", _is_int),
     "count": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
-    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "number": ("a finite number", _is_finite),
     "string": ("a string", lambda v: isinstance(v, str)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "object": ("a JSON object", lambda v: isinstance(v, dict)),

@@ -33,7 +33,7 @@ from ..errors import (
     MissingInputError,
     NumericError,
 )
-from ..hybrid import combine_forecasts  # noqa: F401  (kept importable here; bench/spans.py times it)
+from ..hybrid import combine_forecasts
 from ..markov import (
     StatePartition,
     TransitionCounts,
@@ -42,7 +42,7 @@ from ..markov import (
 )
 from ..series import relative_residuals
 from .backtest import run_backtest
-from .config import READS, PipelineConfig, load_config, parse_boundaries
+from .config import READS, PipelineConfig, load_config, parse_boundaries, parse_components
 from .docspec import LEAVES
 from .io import (
     _open_input,
@@ -55,7 +55,6 @@ from .io import (
     write_series_csv,
 )
 from .models import (
-    DEFAULT_COMPONENTS,
     _markov_summary,
     align_fitted,
     assemble_hybrid,  # noqa: F401  (kept importable here; bench/spans.py times it)
@@ -83,6 +82,7 @@ _EXIT_CODES = (
 #: add_argument keywords). Each flag's dest is the field it overrides.
 _CONFIG_FLAGS = {
     "model": ("--model", {"help": "model kind"}),
+    "components": ("--components", {"type": parse_components, "help": "a hybrid's base models"}),
     "state_boundaries": ("--boundaries", {
         "type": parse_boundaries,
         "metavar": "BOUNDARIES",
@@ -116,20 +116,6 @@ def _config_from_args(args) -> PipelineConfig:
     return load_config(args.config, overrides)
 
 
-def _components_from_args(args) -> tuple[str, ...]:
-    raw = args.components
-    if not raw:
-        return DEFAULT_COMPONENTS
-    parts = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if len(parts) < 2:
-        raise ConfigError(f"--components needs at least 2 model kinds, got {raw!r}")
-    if len(set(parts)) != len(parts):
-        raise ConfigError(f"--components must name distinct model kinds, got {raw!r}")
-    if "hybrid" in parts:
-        raise ConfigError("--components must name base models, not 'hybrid'")
-    return parts
-
-
 def _load_json_doc(path: str) -> dict:
     with _open_input(path) as handle:
         try:
@@ -153,7 +139,7 @@ def cmd_fit(args) -> int:
     if args.components and cfg.model != "hybrid":
         raise ConfigError(f"--components applies to --model hybrid only, not {cfg.model!r}")
     series = parse_series_csv(args.input)
-    fitted = fit_model(cfg.model, series.values, cfg, _components_from_args(args))
+    fitted = fit_model(cfg.model, series.values, cfg)
     write_json(args.out, fitted.to_doc())
     print(f"fitted {cfg.model} on {len(series)} points -> {args.out}")
     return 0
@@ -218,27 +204,28 @@ def cmd_markov_test(args) -> int:
 
 def cmd_hybrid(args) -> int:
     cfg = _config_from_args(args)
-    components = _components_from_args(args)
     series = parse_series_csv(args.input)
-    hybrid = fit_model("hybrid", series.values, cfg, components)
+    hybrid = fit_model("hybrid", series.values, cfg)
     start, actual, predictions = align_fitted(series.values, hybrid.parts)
     doc = hybrid.to_doc()
+    # In-sample, the weights combine as the loaded doc combines forecasts.
+    combined = combine_forecasts(predictions, doc["weights"], doc["combine"])
     horizon = cfg.horizon
     forecasts, hybrid_forecast = model_from_doc(doc).forecasts(horizon)
     component_forecasts = {
-        kind: [float(v) for v in forecast] for kind, forecast in zip(components, forecasts)
+        kind: [float(v) for v in forecast] for kind, forecast in zip(cfg.components, forecasts)
     }
     report = {
         "schema_version": 1,
         "command": "hybrid",
         "config": cfg.echo("hybrid"),
-        "components": list(components),
+        "components": list(cfg.components),
         "evaluation": {
             "start_t": start,
             "models": {
-                kind: metrics_doc(actual, pred) for kind, pred in zip(components, predictions)
+                kind: metrics_doc(actual, pred) for kind, pred in zip(cfg.components, predictions)
             },
-            "hybrid": metrics_doc(actual, hybrid.fitted),
+            "hybrid": metrics_doc(actual, combined),
         },
         "weights": {
             "scheme": doc["scheme"],
@@ -257,7 +244,7 @@ def cmd_hybrid(args) -> int:
     if args.forecast_out:
         write_forecast_csv(args.forecast_out, len(series) + 1, hybrid_forecast)
     print(f"hybrid scheme = {doc['scheme']}, weights = {[round(w, 4) for w in doc['weights']]}")
-    for kind in components:
+    for kind in cfg.components:
         print(f"  {kind}: in-sample MAPE = {report['evaluation']['models'][kind]['mape']:.4f}%")
     print(f"  hybrid: in-sample MAPE = {report['evaluation']['hybrid']['mape']:.4f}%")
     print(f"report -> {args.out}")
@@ -266,11 +253,8 @@ def cmd_hybrid(args) -> int:
 
 def cmd_backtest(args) -> int:
     cfg = _config_from_args(args)
-    components = _components_from_args(args)
     series = parse_series_csv(args.input)
-    report, header, rows = run_backtest(
-        series.values, cfg, components=components, folds=args.folds
-    )
+    report, header, rows = run_backtest(series.values, cfg, folds=args.folds)
     write_json(args.out, report)
     if args.plot_out:
         write_plot_csv(args.plot_out, header, rows)
@@ -393,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model and persist it as JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--components", help="comma list for --model hybrid")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="forecast from a persisted model JSON")
@@ -413,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--forecast-out", help="optional hybrid forecast CSV")
-    p.add_argument("--components", help="comma list, default dgm_fmarkov,ignn")
     p.set_defaults(func=cmd_hybrid)
 
     p = sub.add_parser("backtest", help="rolling-origin evaluation")
@@ -421,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--plot-out", help="plot-data CSV")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--components", help="comma list, default dgm_fmarkov,ignn")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("report", help="print a summary of a report JSON")

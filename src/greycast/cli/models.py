@@ -7,8 +7,8 @@ model kinds uniformly.  Each kind is one :class:`Kind` record: the base
 kinds are :data:`KINDS` and the hybrid is :data:`HYBRID`.  Fitting goes
 through the :data:`FITTERS` registry, built from those records, whose
 entries fit one model to each series of a list (the networks of all those
-fits train together), and which tests may wrap to observe exactly what
-data each fit saw.
+fits train together, a hybrid's components' too), and which tests may
+wrap to observe exactly what data each fit saw.
 
 Forecasts have one path: ``forecast(h)`` rebuilds the model from its
 ``to_doc()`` through :func:`model_from_doc`, the same code that
@@ -39,6 +39,7 @@ from ..hybrid import (
     effective_degree,
     effective_weights,
     min_variance_weight,
+    on_simplex,
     optimize_relation_weights,
     simplex_ls_weights,
 )
@@ -73,14 +74,13 @@ from .config import PipelineConfig
 from .docspec import check_keys
 
 SCHEMA_VERSION = 2
-DEFAULT_COMPONENTS = ("dgm_fmarkov", "ignn")
 
 
 @dataclass
 class FittedModel:
     kind: str
     start_t: int
-    fitted: np.ndarray
+    fitted: np.ndarray | None  # None for a hybrid, which combines nothing in-sample
     _doc: dict
     markov_report: MarkovTestReport | None = None
     parts: tuple[FittedModel, ...] = ()  # a hybrid's component fits
@@ -122,7 +122,7 @@ class Kind:
     here: the record's own functions call them through the module globals."""
 
     name: str
-    fit: Callable | None
+    fit: Callable
     keys: dict
     load: Callable
     check: Callable[[dict, str], None] = lambda doc, at: None
@@ -240,6 +240,12 @@ def _check_fmarkov(doc: dict, at: str) -> None:
                 f"model document field '{at}{key}' must be {k} x {k}, "
                 f"one row and column per state of '{at}boundaries'"
             )
+    off = np.flatnonzero(~on_simplex(doc["fuzzy_probs"]))
+    if off.size:
+        raise DataError(
+            f"model document field '{at}fuzzy_probs[{off[0]}]' must lie on the probability "
+            f"simplex, got {doc['fuzzy_probs'][off[0]]}"
+        )
     if len(doc["degenerate_rows"]) != k:
         raise DataError(
             f"model document field '{at}degenerate_rows' must hold {k} entries, "
@@ -456,20 +462,18 @@ def align_fitted(values, components: list[FittedModel]):
     return start, actual, predictions
 
 
-def assemble_hybrid(values, fits, cfg: PipelineConfig, in_sample: bool = True) -> FittedModel:
+def assemble_hybrid(values, fits, cfg: PipelineConfig) -> FittedModel:
     """The hybrid of components already fitted to ``values``, weighed on
     their common in-sample range under ``cfg``'s scheme.
 
-    Its doc is the ``fit --model hybrid`` doc, its ``parts`` are ``fits``,
-    and its ``fitted`` values combine theirs on that range.  With
-    ``in_sample=False`` that combination is skipped and ``fitted`` is None:
-    a backtest fold reads only the doc, and a geometric or harmonic
-    combination of non-positive in-sample values must not stop it.
+    Its doc is the ``fit --model hybrid`` doc and its ``parts`` are ``fits``.
+    It combines nothing, so its ``fitted`` is None: a geometric or harmonic
+    combination of non-positive in-sample values must not stop a fit whose
+    doc combines only forecasts.
     """
     start, actual, predictions = align_fitted(values, fits)
     weights = compute_weights(actual, predictions, cfg)
-    combined = combine_forecasts(predictions, weights, cfg.combine) if in_sample else None
-    return HYBRID.fitted_model(start, combined, {
+    return HYBRID.fitted_model(start, None, {
         "scheme": weights.scheme,
         "combine": cfg.combine,
         "weights": [float(w) for w in weights.weights],
@@ -478,11 +482,11 @@ def assemble_hybrid(values, fits, cfg: PipelineConfig, in_sample: bool = True) -
     }, parts=fits)
 
 
-def _fit_hybrid(values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
-    values = as_values(values)
-    if len(components) < 2:
-        raise ConfigError("hybrid needs at least 2 component models")
-    return assemble_hybrid(values, [fit_model(kind, values, cfg) for kind in components], cfg)
+def _fit_hybrid(series, cfg: PipelineConfig) -> list[FittedModel]:
+    """A hybrid of ``cfg.components`` per series; each kind is fitted to
+    every series in one call, so their networks train together."""
+    fits_by_kind = [fit_models(kind, series, cfg) for kind in cfg.components]
+    return [assemble_hybrid(values, fits, cfg) for values, fits in zip(series, zip(*fits_by_kind))]
 
 
 def _check_hybrid(doc: dict, at: str) -> None:
@@ -523,8 +527,7 @@ def _load_hybrid(doc: dict):
     return lambda h, *forecasts: combine_forecasts(forecasts, weights, combine)
 
 
-#: The hybrid fits through :func:`fit_model` with its components, not FITTERS.
-HYBRID = Kind("hybrid", None, {
+HYBRID = Kind("hybrid", _fit_hybrid, {
     **_HEADER, "scheme": "string", "combine": "string", "weights": ["number"],
     "diagnostics": "object", "components": ["object"],
 }, _load_hybrid, _check_hybrid)
@@ -534,7 +537,7 @@ KINDS = (GM, DGM, DGM_FMARKOV, IGNN, SGNN)
 
 #: Fit dispatch: kind -> fitter(list of series, cfg) -> list of fits.
 #: Tests may wrap entries to instrument what data a fit sees.
-FITTERS = {record.name: record.fit for record in KINDS}
+FITTERS = {record.name: record.fit for record in (*KINDS, HYBRID)}
 
 #: Doc "kind", the CLI name -> record.
 _BY_NAME = {record.name: record for record in (*KINDS, HYBRID)}
@@ -550,15 +553,13 @@ def components_markov_report(fits) -> MarkovTestReport | None:
 
 
 def fit_models(kind: str, series, cfg: PipelineConfig) -> list[FittedModel]:
-    """One base model of ``kind`` per series, in one fitter call."""
+    """One model of ``kind`` per series, in one fitter call."""
     if kind not in FITTERS:
         raise ConfigError(f"unknown model kind {kind!r}")
     return FITTERS[kind](list(series), cfg)
 
 
-def fit_model(kind: str, values, cfg: PipelineConfig, components=DEFAULT_COMPONENTS) -> FittedModel:
-    if kind == HYBRID.name:
-        return _fit_hybrid(values, cfg, components)
+def fit_model(kind: str, values, cfg: PipelineConfig) -> FittedModel:
     return fit_models(kind, [values], cfg)[0]
 
 

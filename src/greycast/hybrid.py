@@ -28,6 +28,14 @@ COMBINE_HARMONIC = "harmonic"
 COMBINE_SCHEMES = (COMBINE_ARITHMETIC, COMBINE_GEOMETRIC, COMBINE_HARMONIC)
 
 
+def on_simplex(w):
+    """Whether the finite ``w`` lies on the probability simplex along its last
+    axis, one answer per row of a matrix: each entry at least -1e-9 and the
+    sum within 1e-9 of 1."""
+    w = np.asarray(w, dtype=float)
+    return (w >= -1e-9).all(axis=-1) & (np.abs(w.sum(axis=-1) - 1.0) <= 1e-9)
+
+
 @dataclass(frozen=True)
 class HybridWeights:
     """A weight vector on the probability simplex plus provenance."""
@@ -40,7 +48,7 @@ class HybridWeights:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1 or not np.all(np.isfinite(w)):
             raise DataError("weights must be a finite 1-D vector")
-        if np.any(w < -1e-9) or abs(w.sum() - 1.0) > 1e-9:
+        if not on_simplex(w):
             raise DataError(
                 f"weights must lie on the probability simplex, got {w.tolist()}"
             )
@@ -97,7 +105,7 @@ def effective_weights(degrees) -> HybridWeights:
     )
 
 
-def min_variance_weight(e1, e2, assume_independent: bool = False) -> HybridWeights:
+def min_variance_weight(e1, e2) -> HybridWeights:
     """Variance-minimising split between two error sequences.
 
     weights[0] multiplies model 1.  The numerator carries the variance of
@@ -107,7 +115,7 @@ def min_variance_weight(e1, e2, assume_independent: bool = False) -> HybridWeigh
     a, b = as_pair(e1, e2, min_len=2)
     var1 = float(np.var(a, ddof=1))
     var2 = float(np.var(b, ddof=1))
-    cov = 0.0 if assume_independent else float(np.cov(a, b, ddof=1)[0, 1])
+    cov = float(np.cov(a, b, ddof=1)[0, 1])
     denom = var1 + var2 - 2.0 * cov
     tie = False
     if denom == 0.0:

@@ -194,7 +194,7 @@ def test_fit_then_forecast_round_trip(tmp_path, kind):
     assert main(["fit", "--model", kind, "--input", str(data),
                  "--out", str(model_path), "--config", str(config)]) == 0
     doc = json.loads(model_path.read_text())
-    for part, name in [(doc, kind), *zip(doc.get("components", ()), cli_models.DEFAULT_COMPONENTS)]:
+    for part, name in [(doc, kind), *zip(doc.get("components", ()), PipelineConfig().components)]:
         assert part["schema_version"] == 2 and part["kind"] == name and "variant" not in part
     assert main(["forecast", "--input", str(model_path), "--horizon", "3", "--out", str(out_path)]) == 0
     rows = out_path.read_text().strip().splitlines()
@@ -503,8 +503,9 @@ def test_backtest_never_sees_future_data(tmp_path, monkeypatch):
     assert sorted({length for _, length in seen}) == origins
     per_fold = {origin: [k for k, ln in seen if ln == origin] for origin in origins}
     for origin, kinds in per_fold.items():
-        assert sorted(kinds) == ["dgm_fmarkov", "ignn"]
-    assert sorted(calls) == ["dgm_fmarkov", "ignn"]  # one call per kind, all folds
+        assert sorted(kinds) == ["dgm_fmarkov", "hybrid", "ignn"]
+    # one hybrid call for all folds, which makes one call per component kind
+    assert sorted(calls) == ["dgm_fmarkov", "hybrid", "ignn"]
 
 
 @pytest.mark.parametrize("components, scheme, combine", [
@@ -545,19 +546,22 @@ def test_backtest_folds_equal_standalone_hybrid_fits(components):
     # hybrid forecast and weights are those of a hybrid fitted to the fold's
     # training data alone, bit for bit.
     values = synthetic_series(80, seed=3)
-    cfg = PipelineConfig(horizon=4, train=TrainConfig(epochs=20, learning_rate=0.1))
-    report, header, rows = run_backtest(values, cfg, components=components, folds=3)
+    cfg = PipelineConfig(
+        components=components, horizon=4, train=TrainConfig(epochs=20, learning_rate=0.1)
+    )
+    report, header, rows = run_backtest(values, cfg, folds=3)
     hybrid = np.array([row[header.index("hybrid")] for row in rows]).reshape(3, 4)
     for fold, forecast in zip(report["folds"], hybrid):
-        fit = cli_models.fit_model("hybrid", values[: fold["origin"]], cfg, components)
+        fit = cli_models.fit_model("hybrid", values[: fold["origin"]], cfg)
         assert forecast.tobytes() == fit.forecast(4).tobytes()
         assert fold["weights"] == fit.to_doc()["weights"]
 
 
 def test_backtest_combines_forecasts_only(tmp_path, monkeypatch, capsys):
-    # A geometric hybrid fit refuses in-sample values that are not all
-    # positive; a backtest combines only each fold's forecasts, so such
-    # in-sample values do not stop it.
+    # The hybrid report's geometric combination refuses in-sample values
+    # that are not all positive; a hybrid fit, and so a backtest, combines
+    # only forecasts, so such in-sample values stop neither: each fold's doc
+    # is the one fit --model hybrid writes for the fold's training data.
     original = cli_models.FITTERS["gm"]
 
     def first_fitted_negative(series, cfg):
@@ -567,15 +571,82 @@ def test_backtest_combines_forecasts_only(tmp_path, monkeypatch, capsys):
         return fits
 
     monkeypatch.setitem(cli_models.FITTERS, "gm", first_fitted_negative)
-    data = tmp_path / "series.csv"
-    write_series(data, synthetic_series(40, seed=5))
-    flags = ["--input", str(data), "--components", "gm,dgm", "--combine", "geometric",
-             "--horizon", "3"]
-    assert main(["backtest", *flags, "--out", str(tmp_path / "bt.json"), "--folds", "2"]) == 0
-    assert main(["hybrid", *flags, "--out", str(tmp_path / "h.json")]) == 5
+    data, values = tmp_path / "series.csv", synthetic_series(40, seed=5)
+    write_series(data, values)
+    flags = ["--components", "gm,dgm", "--combine", "geometric"]
+    bt, plot = tmp_path / "bt.json", tmp_path / "bt.csv"
+    assert main(["backtest", "--input", str(data), *flags, "--horizon", "3", "--out", str(bt),
+                 "--folds", "2", "--plot-out", str(plot)]) == 0
+    hybrid = [row.split(",")[-1] for row in plot.read_text().splitlines()[1:]]
+    for i, fold in enumerate(json.loads(bt.read_text())["folds"]):
+        train, doc_path = tmp_path / f"train{i}.csv", tmp_path / f"fold{i}.json"
+        write_series(train, values[: fold["origin"]])
+        assert main(["fit", "--model", "hybrid", "--input", str(train), *flags,
+                     "--out", str(doc_path)]) == 0
+        assert json.loads(doc_path.read_text())["weights"] == fold["weights"]
+        fc = tmp_path / f"fold{i}.csv"
+        assert main(["forecast", "--input", str(doc_path), "--horizon", "3", "--out", str(fc)]) == 0
+        assert [row.split(",")[1] for row in fc.read_text().splitlines()[1:]] == hybrid[3 * i : 3 * i + 3]
+    capsys.readouterr()
+    assert main(["hybrid", "--input", str(data), *flags, "--out", str(tmp_path / "h.json")]) == 5
     assert capsys.readouterr().err == (
         "error: geometric combination requires strictly positive forecasts\n"
     )
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("hybrid", ["--forecast-out"]),
+    ("backtest", ["--folds", "2", "--plot-out"]),
+])
+def test_echoed_config_reruns_the_report(tmp_path, command, flags):
+    # A report's config echo, fed back as --config, reruns that report.
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(50, seed=4))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"train": {"epochs": 5, "learning_rate": 0.1}, "window": 3}))
+    argv = [command, "--input", str(data), *flags, str(tmp_path / "fc.csv")]
+    first, echo, second = tmp_path / "r1.json", tmp_path / "echo.json", tmp_path / "r2.json"
+    assert main([*argv, "--out", str(first), "--config", str(config), "--components",
+                 "gm,sgnn,dgm_fmarkov", "--scheme", "simplex_ls", "--horizon", "3",
+                 "--seed", "4", "--boundaries=-0.2,0,0.05,0.3"]) == 0
+    echo.write_text(json.dumps(json.loads(first.read_text())["config"]))
+    assert load_config(str(echo), {}).components == ("gm", "sgnn", "dgm_fmarkov")
+    assert main([*argv, "--out", str(second), "--config", str(echo)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_components_from_a_config_file(tmp_path):
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(40, seed=3))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"components": ["gm", "dgm"]}))
+    hybrid, doc = tmp_path / "h.json", tmp_path / "m.json"
+    assert main(["hybrid", "--input", str(data), "--out", str(hybrid), "--config", str(config)]) == 0
+    report = json.loads(hybrid.read_text())
+    assert report["components"] == report["config"]["components"] == ["gm", "dgm"]
+    assert main(["fit", "--model", "hybrid", "--input", str(data), "--out", str(doc),
+                 "--config", str(config)]) == 0
+    assert [part["kind"] for part in json.loads(doc.read_text())["components"]] == ["gm", "dgm"]
+    # the flag wins over the file
+    assert main(["hybrid", "--input", str(data), "--out", str(hybrid), "--config", str(config),
+                 "--components", "dgm,gm"]) == 0
+    assert json.loads(hybrid.read_text())["components"] == ["dgm", "gm"]
+
+
+def test_min_variance_on_three_models_is_refused_before_any_fit(tmp_path, capsys, monkeypatch):
+    def no_fit(series, cfg):
+        raise AssertionError("fitted before the config was checked")
+
+    for kind in cli_models.FITTERS:
+        monkeypatch.setitem(cli_models.FITTERS, kind, no_fit)
+    for command in ("hybrid", "backtest"):
+        argv = _probe_argv(tmp_path, "min_variance_three_models")
+        argv[0] = command
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: min_variance weighting needs exactly 2 models, got 3\n"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +776,8 @@ def test_exit_code_numeric_error(tmp_path, capsys):
     assert rc == 6
 
 
+_NAN, _INF = float("nan"), float("inf")
+
 # Model docs with a value of the wrong JSON type or size, an unknown key, a
 # ragged matrix or an explosive model: probe -> (kind fitted, path of the
 # field, value written there); an empty path merges the value into the doc.
@@ -761,6 +834,19 @@ _DOC_EDITS = {
     }),
     "hybrid_weights_sum_above_one": ("hybrid", ("weights",), [0.5, 0.7]),
     "hybrid_weights_negative": ("hybrid", ("weights",), [-1.0, 2.0]),
+    # a fuzzy transition row off the probability simplex
+    "fuzzy_probs_row_of_fives": ("dgm_fmarkov", ("fuzzy_probs", 2), [5.0] * 6),
+    # non-finite numbers, which json reads as NaN and Infinity
+    "fmarkov_fuzzy_probs_nan_row": ("dgm_fmarkov", ("fuzzy_probs", 1), [_NAN] * 6),
+    "fmarkov_last_actual_nan": ("dgm_fmarkov", ("last_actual",), _NAN),
+    "ignn_weight_nan": ("ignn", ("net", "weights", 0, 0, 0), _NAN),
+    "ignn_bias_infinite": ("ignn", ("net", "biases", 1, 0), _INF),
+    "ignn_ago_tail_nan": ("ignn", ("ago_tail", 0), _NAN),
+    "sgnn_weight_nan": ("sgnn", ("net", "weights", 1, 0, 0), _NAN),
+    "dgm_xi_nan": ("dgm", ("xi",), _NAN),
+    "dgm_beta_infinite": ("dgm", ("beta", 2), -_INF),
+    "gm_a_nan": ("gm", ("a",), _NAN),
+    "gm_u_beyond_float_range": ("gm", ("u",), -10**400),
 }
 
 # The field that the error line of a _DOC_EDITS probe must name.
@@ -781,6 +867,17 @@ _DOC_EDIT_FIELDS = {
     "hybrid_component_hybrid": "components[0].kind",
     "hybrid_weights_sum_above_one": "weights",
     "hybrid_weights_negative": "weights",
+    "fuzzy_probs_row_of_fives": "fuzzy_probs[2]",
+    "fmarkov_fuzzy_probs_nan_row": "fuzzy_probs[1][0]",
+    "fmarkov_last_actual_nan": "last_actual",
+    "ignn_weight_nan": "net.weights[0][0][0]",
+    "ignn_bias_infinite": "net.biases[1][0]",
+    "ignn_ago_tail_nan": "ago_tail[0]",
+    "sgnn_weight_nan": "net.weights[1][0][0]",
+    "dgm_xi_nan": "xi",
+    "dgm_beta_infinite": "beta[2]",
+    "gm_a_nan": "a",
+    "gm_u_beyond_float_range": "u",
 }
 
 
@@ -804,6 +901,11 @@ _CONFIGS = {
     "boundaries_string": {"state_boundaries": "abc"},
     "boundaries_nan": {"state_boundaries": [0, float("nan"), 1]},
     "boundaries_infinite": {"state_boundaries": [0, 1, float("inf")]},
+    "components_file_one_kind": {"components": ["dgm"]},
+    "components_file_repeated_kind": {"components": ["dgm", "gm", "dgm"]},
+    "components_file_hybrid": {"components": ["dgm", "hybrid"]},
+    "components_file_unknown_kind": {"components": ["dgm", "arima"]},
+    "components_file_string": {"components": "dgm,gm"},
 }
 
 
@@ -819,6 +921,7 @@ _CALLS = {
     "components_one_kind": (2, "hybrid", ["--components", "dgm"]),
     "components_repeated_kind": (2, "hybrid", ["--components", "dgm,gm,dgm"]),
     "components_hybrid": (2, "hybrid", ["--components", "dgm,hybrid"]),
+    "components_unknown_kind": (2, "backtest", ["--components", "dgm,foo"]),
     "backtest_folds_zero": (2, "backtest", ["--folds", "0"]),
     "backtest_folds_negative": (2, "backtest", ["--folds", "-2"]),
     "backtest_too_few_points": (5, "backtest", ["--folds", "25"]),
@@ -852,6 +955,9 @@ _REPORTS = {
         {"models": {"gm": {"mse": 1, "mae": 1, "mape": 1, "theil": 1, "mape_by_lead": "x"}}},
         "models.gm.mape_by_lead",
     ),
+    # greycast writes a non-finite metric as null, never as NaN
+    "report_mape_nan": ({"models": {"gm": {"mse": 1, "mae": 1, "mape": _NAN, "theil": 1}}},
+                        "models.gm.mape"),
     "report_mape_by_lead_item_string": (
         {"models": {"gm": {"mse": 1, "mae": 1, "mape": 1, "theil": 1, "mape_by_lead": [1, "x"]}}},
         "models.gm.mape_by_lead[1]",
@@ -982,6 +1088,8 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
         assert f"report field {_REPORTS[probe][1]} " in err, err
     if probe.startswith("backtest_folds"):
         assert "fold count must be at least 1" in err
+    if probe.startswith("components_") and probe != "components_on_gm":
+        assert err.startswith("error: components must "), err
     if probe == "min_variance_three_models":
         assert err == "error: min_variance weighting needs exactly 2 models, got 3\n"
 
@@ -1146,9 +1254,11 @@ def test_models_names_each_kind_record_and_hybrid():
 
 def test_fitted_docs_share_one_n_fit():
     values = synthetic_series(60, seed=2)
-    cfg = PipelineConfig(hybrid_scheme="effective_degree", train=TrainConfig(epochs=2))
     components = tuple(record.name for record in cli_models.KINDS)
-    doc = cli_models.fit_model("hybrid", values, cfg, components).to_doc()
+    cfg = PipelineConfig(
+        components=components, hybrid_scheme="effective_degree", train=TrainConfig(epochs=2)
+    )
+    doc = cli_models.fit_model("hybrid", values, cfg).to_doc()
     assert [part["n_fit"] for part in doc["components"]] == [60] * len(components)
     assert doc["components"][components.index("dgm_fmarkov")]["dgm"]["n_fit"] == 60
     assert cli_models.model_from_doc(doc).n_fit == 60
@@ -1162,7 +1272,7 @@ _TIMED_NAMES = {
     "fit": ("fit_model", "fit_gm11", "forecast_gm11", "fit_dgm", "forecast_dgm",
             "fuzzy_transition_matrix", "fmarkov_correct", "classify_states",
             "count_transitions", "marginal_distribution", "markov_property_test",
-            "ignn_fitted", "optimize_relation_weights", "combine_forecasts"),
+            "ignn_fitted", "optimize_relation_weights"),
     "forecast": ("model_from_doc", "forecast_gm11", "forecast_dgm", "expected_drift",
                  "ignn_forecast", "combine_forecasts"),
 }
@@ -1180,14 +1290,14 @@ def test_kinds_call_timed_functions_through_the_module(monkeypatch):
     for name in {"evaluate", *_TIMED_NAMES["fit"], *_TIMED_NAMES["forecast"]}:
         monkeypatch.setattr(cli_models, name, spy(name, getattr(cli_models, name)))
     values = synthetic_series(40, seed=2)
-    cfg = PipelineConfig(train=TrainConfig(epochs=2))
-    fit = cli_models.fit_model("hybrid", values, cfg, ("gm", "dgm_fmarkov", "ignn"))
+    cfg = PipelineConfig(components=("gm", "dgm_fmarkov", "ignn"), train=TrainConfig(epochs=2))
+    fit = cli_models.fit_model("hybrid", values, cfg)
     assert sorted(set(_TIMED_NAMES["fit"]) - called) == []
     called.clear()
     fit.forecast(3)
     assert sorted(set(_TIMED_NAMES["forecast"]) - called) == []
     called.clear()
-    cli_models.metrics_doc(values[fit.start_t - 1 :], fit.fitted)
+    cli_models.metrics_doc(values, fit.parts[0].fitted)  # gm's, from t = 1
     assert called == {"evaluate"}
 
 
@@ -1195,6 +1305,7 @@ def test_kinds_call_timed_functions_through_the_module(monkeypatch):
 # name to.
 _FLAGS = [
     ("--model", "dgm", "model", "dgm"),
+    ("--components", "gm, sgnn", "components", ("gm", "sgnn")),
     ("--boundaries", "-0.1,0,0.1", "state_boundaries", (-0.1, 0.0, 0.1)),
     ("--window", "3", "window", 3),
     ("--scheme", "simplex_ls", "hybrid_scheme", "simplex_ls"),
@@ -1226,11 +1337,11 @@ def test_each_config_flag_sets_its_field(flag, text, name, value):
 # The flags of each subcommand that reads the config, besides -h/--help,
 # --config and the config flags it reads.
 _OWN_FLAGS = {
-    "fit": {"--input", "--out", "--components"},
+    "fit": {"--input", "--out"},
     "forecast": {"--input", "--out"},
     "markov-test": {"--input", "--out", "--model"},
-    "hybrid": {"--input", "--out", "--forecast-out", "--components"},
-    "backtest": {"--input", "--out", "--plot-out", "--folds", "--components"},
+    "hybrid": {"--input", "--out", "--forecast-out"},
+    "backtest": {"--input", "--out", "--plot-out", "--folds"},
 }
 
 
@@ -1245,6 +1356,7 @@ def test_help_lists_the_config_flags_the_subcommand_reads(capsys, command):
 def test_load_config_reads_back_an_echoed_config(tmp_path):
     # every field but model, which neither echoing command reads
     cfg = PipelineConfig(
+        components=("gm", "dgm", "sgnn"),
         state_boundaries=(-0.2, 0.0, 0.1, 0.3),
         window=3,
         train=TrainConfig(learning_rate=0.2, epochs=7, seed=4, shuffle=False),

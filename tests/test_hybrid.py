@@ -130,16 +130,6 @@ def test_min_variance_local_minimum_property():
         assert base <= var_at(r) + 1e-12
 
 
-def test_min_variance_assume_independent():
-    rng = np.random.default_rng(52)
-    e1 = rng.normal(size=30)
-    e2 = 0.5 * e1 + rng.normal(size=30)  # correlated
-    hw = min_variance_weight(e1, e2, assume_independent=True)
-    v1, v2 = np.var(e1, ddof=1), np.var(e2, ddof=1)
-    assert math.isclose(hw.diagnostics["rho_star"], v2 / (v1 + v2), rel_tol=1e-12)
-    assert hw.diagnostics["cov"] == 0.0
-
-
 # ---------------------------------------------------------------------------
 # simplex least squares
 # ---------------------------------------------------------------------------
@@ -615,8 +605,8 @@ def test_four_and_five_models_sweep_past_the_faces():
 
 def test_five_kind_hybrid_fit_returns_simplex_weights():
     # the 16-start search it replaced ran for more than ten minutes here
-    cfg = PipelineConfig(train=TrainConfig(epochs=60, learning_rate=0.1))
-    doc = fit_model("hybrid", synthetic_series(120, seed=2), cfg, _KINDS).to_doc()
+    cfg = PipelineConfig(components=_KINDS, train=TrainConfig(epochs=60, learning_rate=0.1))
+    doc = fit_model("hybrid", synthetic_series(120, seed=2), cfg).to_doc()
     weights = np.array(doc["weights"])
     assert doc["scheme"] == "grey_relation" and weights.size == 5
     assert np.all(weights >= 0) and math.isclose(weights.sum(), 1.0, abs_tol=1e-9)
