@@ -22,7 +22,6 @@ from .models import (
     fit_models,
     markov_report_doc,
     metrics_doc,
-    model_from_doc,
 )
 
 
@@ -47,9 +46,8 @@ def run_backtest(values, cfg: PipelineConfig, folds=5) -> tuple[dict, list[str],
 
     fold_docs, blocks = [], []
     for origin, hybrid in zip(origins, hybrids):
-        doc = hybrid.to_doc()
-        forecasts, hybrid_forecast = model_from_doc(doc).forecasts(h)
-        fold_docs.append({"origin": origin, "horizon": h, "weights": doc["weights"]})
+        forecasts, hybrid_forecast = hybrid.forecasts(h)
+        fold_docs.append({"origin": origin, "horizon": h, "weights": hybrid.doc["weights"]})
         blocks.append(
             np.column_stack([values[origin : origin + h], *forecasts, hybrid_forecast])
         )

@@ -207,11 +207,11 @@ def cmd_hybrid(args) -> int:
     series = parse_series_csv(args.input)
     hybrid = fit_model("hybrid", series.values, cfg)
     start, actual, predictions = align_fitted(series.values, hybrid.parts)
-    doc = hybrid.to_doc()
+    doc = hybrid.doc
     # In-sample, the weights combine as the loaded doc combines forecasts.
     combined = combine_forecasts(predictions, doc["weights"], doc["combine"])
     horizon = cfg.horizon
-    forecasts, hybrid_forecast = model_from_doc(doc).forecasts(horizon)
+    forecasts, hybrid_forecast = hybrid.forecasts(horizon)
     component_forecasts = {
         kind: [float(v) for v in forecast] for kind, forecast in zip(cfg.components, forecasts)
     }

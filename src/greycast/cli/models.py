@@ -1,19 +1,17 @@
 """Model adapters for the pipeline: fit, in-sample values, forecast, JSON docs.
 
-Every adapter exposes the same small surface — ``kind``, ``start_t`` (the
-1-based time of its first in-sample value), ``fitted``, ``forecast(h)``
-and ``to_doc()`` — so the hybrid assembly and the backtest can treat all
-model kinds uniformly.  Each kind is one :class:`Kind` record: the base
-kinds are :data:`KINDS` and the hybrid is :data:`HYBRID`.  Fitting goes
-through the :data:`FITTERS` registry, built from those records, whose
-entries fit one model to each series of a list (the networks of all those
-fits train together, a hybrid's components' too), and which tests may
-wrap to observe exactly what data each fit saw.
+A fit and a saved doc are one :class:`Model`, so the hybrid assembly and
+the backtest can treat all model kinds uniformly.  Each kind is one
+:class:`Kind` record: the base kinds are :data:`KINDS` and the hybrid is
+:data:`HYBRID`.  Fitting goes through the :data:`FITTERS` registry, built
+from those records, whose entries fit one model to each series of a list
+(the networks of all those fits train together, a hybrid's components'
+too), and which tests may wrap to observe exactly what data each fit saw.
 
-Forecasts have one path: ``forecast(h)`` rebuilds the model from its
-``to_doc()`` through :func:`model_from_doc`, the same code that
-``greycast forecast`` runs on a persisted doc, so a fit and its saved doc
-forecast alike by construction.
+Forecasts have one path: :meth:`Kind.model` builds every model, a fit from
+the doc it writes and :func:`model_from_doc` from a checked saved doc, and
+its forecasts come from the kind's ``load`` of that doc, so a fit and its
+saved doc forecast alike by construction.
 """
 
 from __future__ import annotations
@@ -77,27 +75,17 @@ SCHEMA_VERSION = 2
 
 
 @dataclass
-class FittedModel:
-    kind: str
-    start_t: int
-    fitted: np.ndarray | None  # None for a hybrid, which combines nothing in-sample
-    _doc: dict
-    markov_report: MarkovTestReport | None = None
-    parts: tuple[FittedModel, ...] = ()  # a hybrid's component fits
+class Model:
+    """A fitted or loaded model; only a fit has in-sample values."""
 
-    def forecast(self, horizon: int) -> np.ndarray:
-        return model_from_doc(self.to_doc()).forecast(horizon)
-
-    def to_doc(self) -> dict:
-        return dict(self._doc)
-
-
-@dataclass
-class LoadedModel:
     kind: str
     n_fit: int
+    doc: dict = field(repr=False)
     _forecast: Callable = field(repr=False)
-    parts: tuple[LoadedModel, ...] = ()  # a hybrid's loaded components
+    parts: tuple[Model, ...] = ()  # a hybrid's component models
+    start_t: int | None = None  # the 1-based time of fitted[0]
+    fitted: np.ndarray | None = None  # None for a hybrid, which combines nothing in-sample
+    markov_report: MarkovTestReport | None = None
 
     def forecasts(self, horizon: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Each part's forecast, computed once, and this model's own, which
@@ -107,6 +95,9 @@ class LoadedModel:
 
     def forecast(self, horizon: int) -> np.ndarray:
         return self.forecasts(horizon)[1]
+
+    def to_doc(self) -> dict:
+        return dict(self.doc)
 
 
 @dataclass(frozen=True)
@@ -127,16 +118,22 @@ class Kind:
     load: Callable
     check: Callable[[dict, str], None] = lambda doc, at: None
 
-    def fitted_model(self, start_t, fitted, body: dict, markov_report=None, parts=()) -> FittedModel:
+    def model(self, doc: dict, parts=(), **in_sample) -> Model:
+        """The model of a checked ``doc`` of this kind, whose ``parts`` are
+        already built; a fit passes its ``in_sample`` fields."""
+        n_fit = parts[0].n_fit if parts else doc["n_fit"]  # the parts share one
+        return Model(self.name, n_fit, doc, self.load(doc), tuple(parts), **in_sample)
+
+    def fitted_model(self, start_t, fitted, body: dict, markov_report=None, parts=()) -> Model:
         """A fit of this kind; its doc is the kind's name, then ``body``."""
         doc = {"schema_version": SCHEMA_VERSION, "kind": self.name, **body}
-        return FittedModel(self.name, start_t, fitted, doc, markov_report, tuple(parts))
+        return self.model(doc, parts, start_t=start_t, fitted=fitted, markov_report=markov_report)
 
 
 def _each(fit_one):
     """A batch fitter that fits each series on its own."""
 
-    def fit_all(series, cfg: PipelineConfig) -> list[FittedModel]:
+    def fit_all(series, cfg: PipelineConfig) -> list[Model]:
         return [fit_one(values, cfg) for values in series]
 
     return fit_all
@@ -164,7 +161,7 @@ def _gm_from_doc(doc: dict) -> GmModel:
     return GmModel(a=doc["a"], u=doc["u"], x0_first=doc["x0_first"], n_fit=doc["n_fit"])
 
 
-def _fit_gm(values, cfg: PipelineConfig) -> FittedModel:
+def _fit_gm(values, cfg: PipelineConfig) -> Model:
     model = fit_gm11(values)
     return GM.fitted_model(1, forecast_gm11(model, 1)[: model.n_fit], _gm_doc(model))
 
@@ -185,7 +182,7 @@ def _dgm_from_doc(doc: dict) -> DgmModel:
     return DgmModel(beta=np.asarray(doc["beta"]), xi=doc["xi"], n_fit=doc["n_fit"])
 
 
-def _fit_dgm(values, cfg: PipelineConfig) -> FittedModel:
+def _fit_dgm(values, cfg: PipelineConfig) -> Model:
     model = fit_dgm(values)
     return DGM.fitted_model(1, forecast_dgm(model, 1)[: model.n_fit], _dgm_doc(model))
 
@@ -207,7 +204,7 @@ def _markov_summary(residuals, partition: StatePartition, cfg: PipelineConfig):
     return markov_property_test(counts, marginals, alpha=cfg.alpha)
 
 
-def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> FittedModel:
+def _fit_dgm_fmarkov(values, cfg: PipelineConfig) -> Model:
     values = as_values(values)
     partition = StatePartition(np.asarray(cfg.state_boundaries))
     dgm_model = fit_dgm(values)
@@ -339,7 +336,7 @@ def _check_net(doc: dict, at: str) -> None:
             )
 
 
-def _fit_ignn(series, cfg: PipelineConfig) -> list[FittedModel]:
+def _fit_ignn(series, cfg: PipelineConfig) -> list[Model]:
     return [
         IGNN.fitted_model(cfg.window + 1, ignn_fitted(f), {
             "net": _net_doc(f.net), "window": f.window,
@@ -386,7 +383,7 @@ def _sgnn_windows(n: int) -> list[int]:
     return [length for length in lengths if length >= 4]
 
 
-def _fit_sgnn(series, cfg: PipelineConfig) -> list[FittedModel]:
+def _fit_sgnn(series, cfg: PipelineConfig) -> list[Model]:
     series = [as_values(values) for values in series]
     windows = [_sgnn_windows(values.size) for values in series]
     return [
@@ -454,7 +451,7 @@ def compute_weights(actual, predictions, cfg: PipelineConfig) -> HybridWeights:
     raise ConfigError(f"unknown hybrid scheme {scheme!r}")
 
 
-def align_fitted(values, components: list[FittedModel]):
+def align_fitted(values, components: list[Model]):
     """Common in-sample range: (start_t, actual slice, per-model slices)."""
     start = max(c.start_t for c in components)
     actual = as_values(values)[start - 1 :]
@@ -462,7 +459,7 @@ def align_fitted(values, components: list[FittedModel]):
     return start, actual, predictions
 
 
-def assemble_hybrid(values, fits, cfg: PipelineConfig) -> FittedModel:
+def assemble_hybrid(values, fits, cfg: PipelineConfig) -> Model:
     """The hybrid of components already fitted to ``values``, weighed on
     their common in-sample range under ``cfg``'s scheme.
 
@@ -482,7 +479,7 @@ def assemble_hybrid(values, fits, cfg: PipelineConfig) -> FittedModel:
     }, parts=fits)
 
 
-def _fit_hybrid(series, cfg: PipelineConfig) -> list[FittedModel]:
+def _fit_hybrid(series, cfg: PipelineConfig) -> list[Model]:
     """A hybrid of ``cfg.components`` per series; each kind is fitted to
     every series in one call, so their networks train together."""
     fits_by_kind = [fit_models(kind, series, cfg) for kind in cfg.components]
@@ -552,18 +549,18 @@ def components_markov_report(fits) -> MarkovTestReport | None:
     return next((f.markov_report for f in fits if f.markov_report is not None), None)
 
 
-def fit_models(kind: str, series, cfg: PipelineConfig) -> list[FittedModel]:
+def fit_models(kind: str, series, cfg: PipelineConfig) -> list[Model]:
     """One model of ``kind`` per series, in one fitter call."""
     if kind not in FITTERS:
         raise ConfigError(f"unknown model kind {kind!r}")
     return FITTERS[kind](list(series), cfg)
 
 
-def fit_model(kind: str, values, cfg: PipelineConfig) -> FittedModel:
+def fit_model(kind: str, values, cfg: PipelineConfig) -> Model:
     return fit_models(kind, [values], cfg)[0]
 
 
-def model_from_doc(doc: dict, path: str = "") -> LoadedModel:
+def model_from_doc(doc: dict, path: str = "") -> Model:
     """The model a doc describes; a bad doc raises a one-line DataError.
 
     ``path`` is where the doc sits inside a hybrid doc (``components[i]``),
@@ -589,8 +586,7 @@ def model_from_doc(doc: dict, path: str = "") -> LoadedModel:
         for i, sub in enumerate(doc.get("components", ()))
     ]
     record.check(doc, at)
-    n_fit = parts[0].n_fit if parts else doc["n_fit"]  # the parts share one
-    return LoadedModel(record.name, n_fit, record.load(doc), tuple(parts))
+    return record.model(doc, parts)
 
 
 def markov_report_doc(report: MarkovTestReport | None):

@@ -1273,8 +1273,8 @@ _TIMED_NAMES = {
             "fuzzy_transition_matrix", "fmarkov_correct", "classify_states",
             "count_transitions", "marginal_distribution", "markov_property_test",
             "ignn_fitted", "optimize_relation_weights"),
-    "forecast": ("model_from_doc", "forecast_gm11", "forecast_dgm", "expected_drift",
-                 "ignn_forecast", "combine_forecasts"),
+    "forecast": ("forecast_gm11", "forecast_dgm", "expected_drift", "ignn_forecast",
+                 "combine_forecasts"),
 }
 
 
