@@ -11,6 +11,7 @@ from ..errors import ConfigError, DataError
 from ..hybrid import COMBINE_SCHEMES, SCHEME_MIN_VARIANCE, SCHEMES
 from ..markov import DEFAULT_BOUNDARIES
 from ..neural import TrainConfig
+from .docspec import MAX_COUNT
 
 MODELS = ("gm", "dgm", "dgm_fmarkov", "ignn", "sgnn", "hybrid")
 BASE_MODELS = MODELS[:-1]  # the kinds a hybrid combines
@@ -19,13 +20,15 @@ ALPHAS = (0.01, 0.05)
 _TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 
-def _integer(name: str, value, minimum: int) -> int:
-    """``value`` as an int of at least ``minimum``; a bool, a fraction or a
-    string is a config error."""
+def _integer(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int of at least ``minimum`` and at most ``maximum``;
+    a bool, a fraction or a string is a config error."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{name} must be an integer of at most {maximum}, got {value}")
     return int(value)
 
 
@@ -95,7 +98,7 @@ class PipelineConfig:
         self.alpha = _number("alpha", self.alpha)
         if self.alpha not in ALPHAS:
             raise ConfigError(f"alpha must be one of {ALPHAS}, got {self.alpha}")
-        self.horizon = _integer("horizon", self.horizon, 1)
+        self.horizon = _integer("horizon", self.horizon, 1, MAX_COUNT)
         self.seed = _integer("seed", self.seed, 0)
 
     def echo(self, command: str) -> dict:
@@ -167,6 +170,8 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
     if not isinstance(train_raw, dict):
         raise ConfigError("train config must be a JSON object")
     seed = _integer("seed", merged.get("seed", 0), 0)
+    if overrides.get("seed") is not None:  # the flag wins over train.seed too
+        train_raw = {**train_raw, "seed": seed}
     try:
         return PipelineConfig(train=_build_train(train_raw, seed), **merged)
     except TypeError as exc:

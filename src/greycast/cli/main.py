@@ -11,7 +11,8 @@ Exit codes map one-to-one onto error classes:
     4  CSV parse error
     5  data precondition violated (length, sign, alignment, degeneracy),
        or an input too large to hold in memory
-    6  numeric failure (rank, overflow, divergence)
+    6  numeric failure (rank, overflow, divergence, a forecast that is
+       not finite)
 """
 
 from __future__ import annotations
@@ -436,7 +437,8 @@ def main(argv=None) -> int:
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     except MemoryError as exc:
         # An input that asks for more values than the machine can hold, such
-        # as a model doc whose n_fit is 10**18, is a data error.
+        # as a model doc whose n_fit is 10**15 (docspec.MAX_COUNT), is a data
+        # error.
         detail = f": {exc}" if str(exc) else ""
         print(f"error: input too large to hold in memory{detail}", file=sys.stderr)
         return dict(_EXIT_CODES)[DataError]

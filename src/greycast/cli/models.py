@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ..dgm import DgmModel, fit_dgm, forecast_dgm
-from ..errors import ConfigError, DataError
+from ..errors import ConfigError, DataError, NumericError
 from ..gm import GmModel, fit_gm11, forecast_gm11
 from ..hybrid import (
     COMBINE_SCHEMES,
@@ -89,9 +89,15 @@ class Model:
 
     def forecasts(self, horizon: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Each part's forecast, computed once, and this model's own, which
-        a hybrid combines from them."""
+        a hybrid combines from them.  A step that is not finite raises a
+        one-line NumericError, and numpy's warnings stay silent."""
         part_forecasts = [part.forecast(horizon) for part in self.parts]
-        return part_forecasts, self._forecast(horizon, *part_forecasts)
+        with np.errstate(all="ignore"):
+            forecast = self._forecast(horizon, *part_forecasts)
+        bad = np.flatnonzero(~np.isfinite(forecast))
+        if bad.size:
+            raise NumericError(f"{self.kind} forecast is not finite at step {bad[0] + 1}")
+        return part_forecasts, forecast
 
     def forecast(self, horizon: int) -> np.ndarray:
         return self.forecasts(horizon)[1]
@@ -578,7 +584,7 @@ def model_from_doc(doc: dict, path: str = "") -> Model:
     if not isinstance(kind, str) or kind not in _BY_NAME:
         raise DataError(f"unknown model kind {kind!r}{where}")
     record = _BY_NAME[kind]
-    check_keys(doc, record.keys, path)
+    doc = check_keys(doc, record.keys, path)
     at = f"{path}." if path else ""
     # Only a hybrid's keys admit components: docs of their own, loaded first.
     parts = [

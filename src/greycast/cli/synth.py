@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from .docspec import MAX_COUNT
 
 BASE = 100.0
 TREND = 0.05
@@ -25,8 +26,8 @@ def synthetic_series(n: int, seed: int = 0) -> np.ndarray:
     points; the noise is AR(1) with coefficient AR driven by Gaussian
     innovations of scale NOISE.  Its values stay far above zero.
     """
-    if n < 2:
-        raise ConfigError(f"synthetic series length must be at least 2, got {n}")
+    if not 2 <= n <= MAX_COUNT:
+        raise ConfigError(f"synthetic series length --n must be from 2 to {MAX_COUNT}, got {n}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +30,7 @@ from greycast import (
 )
 from greycast.cli.backtest import run_backtest
 from greycast.cli.config import MODELS, READS, PipelineConfig, load_config
+from greycast.cli.docspec import MAX_COUNT
 from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
 from greycast.cli.main import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
@@ -1096,13 +1098,14 @@ def test_exit_code_probes(tmp_path, capsys, probe, code):
 
 @pytest.mark.parametrize("kind", ["gm", "dgm", "dgm_fmarkov"])
 def test_model_doc_too_large_to_hold_exits_5(tmp_path, capsys, kind):
-    # 10**18 float64 values are 8 EiB, which every machine fails to allocate.
+    # MAX_COUNT (10**15) float64 values are 8 PB, which every machine fails
+    # to allocate; a larger n_fit is refused before any allocation.
     data, model = tmp_path / "data.csv", tmp_path / "m.json"
     write_series(data, synthetic_series(30, seed=9))
     assert main(["fit", "--model", kind, "--input", str(data), "--out", str(model)]) == 0
     doc = json.loads(model.read_text())
     for part in (doc, doc.get("dgm", {})):
-        part["n_fit"] = 10**18
+        part["n_fit"] = MAX_COUNT
     model.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["forecast", "--input", str(model), "--out", str(tmp_path / "f.csv")]) == 5
@@ -1110,6 +1113,110 @@ def test_model_doc_too_large_to_hold_exits_5(tmp_path, capsys, kind):
     assert captured.out == ""
     assert captured.err.startswith("error: input too large to hold in memory"), captured.err
     assert captured.err.count("\n") == 1
+
+
+def _edited_doc(tmp_path, kind, path, value):
+    """The path of a ``kind`` doc fitted to synth(60, seed 3) whose field at
+    ``path`` is ``value``."""
+    cfg = PipelineConfig(train=TrainConfig(epochs=20, learning_rate=0.1))
+    doc = cli_models.fit_model(kind, synthetic_series(60, seed=3), cfg).to_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    return model
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("gm", ("n_fit",)), ("dgm", ("n_fit",)), ("sgnn", ("gm_models", 0, "n_fit")),
+])
+@pytest.mark.parametrize("n_fit", [MAX_COUNT + 1, 10**18, 2**63, 10**30])
+def test_doc_count_above_the_cap_exits_5_naming_the_field(tmp_path, capsys, kind, path, n_fit):
+    # Past numpy's size limit, such an n_fit used to escape main as a
+    # ValueError, or, at 2**63, say "series is empty".
+    model = _edited_doc(tmp_path, kind, path, n_fit)
+    capsys.readouterr()
+    assert main(["forecast", "--input", str(model), "--out", str(tmp_path / "f.csv")]) == 5
+    field = ".".join(str(key) for key in path).replace(".0.", "[0].")
+    assert capsys.readouterr().err == (
+        f"error: model document field '{field}' must be an integer from 1 to {MAX_COUNT}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["forecast", "hybrid", "synth"])
+@pytest.mark.parametrize("big", [MAX_COUNT + 1, 10**30])
+def test_size_flag_above_the_cap_exits_2(tmp_path, capsys, command, big):
+    # 10**30 used to escape main as numpy's ValueError.
+    data, model = tmp_path / "s.csv", tmp_path / "m.json"
+    write_series(data, synthetic_series(30, seed=9))
+    assert main(["fit", "--model", "gm", "--input", str(data), "--out", str(model)]) == 0
+    argv = {
+        "forecast": ["forecast", "--input", str(model), "--horizon", str(big)],
+        "hybrid": ["hybrid", "--input", str(data), "--components", "gm,dgm", "--horizon", str(big)],
+        "synth": ["synth", "--n", str(big)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    what = ("synthetic series length --n must be from 2 to" if command == "synth"
+            else "horizon must be an integer of at most")
+    assert capsys.readouterr().err == f"error: {what} {MAX_COUNT}, got {big}\n"
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("ignn", ("net", "input_scaler", "scale")),
+    ("sgnn", ("net", "output_scaler", "offset")),
+    ("dgm_fmarkov", ("last_residual",)),
+    ("hybrid", ("components", 1, "net", "input_scaler", "offset")),
+])
+def test_integer_beyond_int64_in_a_float_field_loads_as_its_float(tmp_path, capsys, kind, path):
+    # 10**30 used to reach numpy as a Python int, and np.isfinite raised
+    # TypeError out of main; it now loads exactly as 1e30 does.
+    runs = []
+    for value in (10**30, 1e30):
+        model, out = _edited_doc(tmp_path, kind, path, value), tmp_path / "f.csv"
+        out.unlink(missing_ok=True)
+        code = main(["forecast", "--input", str(model), "--horizon", "3", "--out", str(out)])
+        runs.append((code, capsys.readouterr(), out.read_bytes() if code == 0 else None))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("kind, path", [
+    ("ignn", ("net", "biases", 1, 0)),
+    ("sgnn", ("net", "biases", 1, 0)),
+    ("hybrid", ("components", 1, "net", "biases", 1, 0)),
+])
+def test_non_finite_forecast_exits_6_without_a_warning(tmp_path, capsys, kind, path):
+    # An output bias of 1e308 used to print numpy's overflow warnings and
+    # exit 0 with a null forecast for every step (5 for a hybrid, from the
+    # combination).
+    model = _edited_doc(tmp_path, kind, path, 1e308)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["forecast", "--input", str(model), "--horizon", "3",
+                     "--out", str(tmp_path / "f.csv")])
+    name = "ignn" if kind == "hybrid" else kind
+    assert (code, capsys.readouterr().err) == (6, f"error: {name} forecast is not finite at step 1\n")
+
+
+def test_seed_flag_sets_train_seed(tmp_path):
+    # The flag wins over a config file's train.seed, as over every other
+    # field, and the report echoes the seed it trained with.
+    data = tmp_path / "s.csv"
+    write_series(data, synthetic_series(40, seed=3))
+    reports = []
+    for train_seed in (5, 3):
+        config = tmp_path / f"cfg{train_seed}.json"
+        config.write_text(json.dumps({"train": {"epochs": 5, "learning_rate": 0.1, "seed": train_seed}}))
+        report = tmp_path / f"r{train_seed}.json"
+        assert main(["hybrid", "--input", str(data), "--out", str(report),
+                     "--config", str(config), "--seed", "3"]) == 0
+        reports.append(report.read_bytes())
+    assert json.loads(reports[0])["config"]["train"]["seed"] == 3
+    assert reports[0] == reports[1]
+    assert load_config(None, {"seed": 3}).train.seed == 3
 
 
 # Every error class and the exit code the CLI maps it to.
