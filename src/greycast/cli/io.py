@@ -31,29 +31,34 @@ def _open_input(path, newline=None):
         raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _read_rows(source) -> list[list[str]]:
+def _rows(source):
+    """``(file line, cells)`` for each non-blank row of the CSV at a path or
+    in a text stream."""
     if isinstance(source, (str, os.PathLike)):
         with _open_input(source, newline="") as handle:
-            return [row for row in csv.reader(handle)]
-    return [row for row in csv.reader(source)]
+            yield from _rows(handle)
+        return
+    reader = csv.reader(source)
+    for row in reader:
+        if "".join(row).strip():
+            yield reader.line_num, row
 
 
 def _normalize(row: list[str]) -> tuple[str, ...]:
     return tuple(cell.strip().lower() for cell in row)
 
 
-def _nonblank_rows(source) -> tuple[tuple[str, ...], list[list[str]]]:
-    """The normalized header and all rows, header included, of a CSV whose
-    blank rows are dropped; a file of blank rows only is a parse error."""
-    rows = [row for row in _read_rows(source) if any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError("empty file")
-    return _normalize(rows[0]), rows
+def _header(rows) -> tuple[tuple[str, ...], list[str]]:
+    """The first of ``rows``, normalized and as read; none is a parse error."""
+    for _, row in rows:
+        return _normalize(row), row
+    raise CsvParseError("empty file")
 
 
 def sniff_csv_kind(path) -> str:
-    """'series' for value / date,value files, 'counts' for state fixtures."""
-    header, _ = _nonblank_rows(path)
+    """'series' for value / date,value files, 'counts' for state fixtures;
+    reads no further than the header."""
+    header, _ = _header(_rows(path))
     return "counts" if header[0] == "state" else "series"
 
 
@@ -61,29 +66,27 @@ def parse_series_csv(source) -> TimeSeries:
     """Parse a 'value' or 'date,value' CSV into a TimeSeries; a date
     column is read and ignored.
 
-    Row numbers in error messages are 1-based file rows (the header is
-    row 1).
+    Row numbers in error messages are 1-based file lines; a quoted field
+    that spans lines is named by its last line.
     """
-    header, rows = _nonblank_rows(source)
+    rows = _rows(source)
+    header, first = _header(rows)
     if header not in SERIES_HEADERS:
-        raise CsvParseError(
-            f"unrecognized header {list(rows[0])!r}; expected 'value' or 'date,value'"
-        )
+        raise CsvParseError(f"unrecognized header {first!r}; expected 'value' or 'date,value'")
+    width = len(header)
     values: list[float] = []
-    for offset, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
+        if len(row) == width:
+            try:
+                values.append(float(row[-1].strip()))
+                continue
+            except ValueError:
+                pass
         if _normalize(row) == header:
-            raise CsvParseError(f"duplicate header at row {offset}")
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"row {offset} has {len(row)} fields, expected {len(header)}"
-            )
-        raw = row[-1].strip()
-        try:
-            values.append(float(raw))
-        except ValueError as exc:
-            raise CsvParseError(
-                f"could not parse value {raw!r} at row {offset}"
-            ) from exc
+            raise CsvParseError(f"duplicate header at row {line}")
+        if len(row) != width:
+            raise CsvParseError(f"row {line} has {len(row)} fields, expected {width}")
+        raise CsvParseError(f"could not parse value {row[-1].strip()!r} at row {line}")
     if not values:
         raise CsvParseError("no data rows found")
     return TimeSeries(np.asarray(values))
@@ -96,35 +99,31 @@ def parse_counts_csv(source) -> tuple[np.ndarray, np.ndarray]:
     row per state holding the integer transition counts into each state and
     the state's total occupancy over all classified points.
     """
-    header, rows = _nonblank_rows(source)
+    rows = _rows(source)
+    header, _ = _header(rows)
     if header[0] != "state" or header[-1] != "occupancy":
-        raise CsvParseError(
-            "counts fixture must start with header 'state,to1,...,occupancy'"
-        )
+        raise CsvParseError("counts fixture must start with header 'state,to1,...,occupancy'")
     k = len(header) - 2
-    if k < 2 or len(rows) - 1 != k:
+    rows = list(rows)
+    if k < 2 or len(rows) != k:
         raise CsvParseError(
             f"counts fixture with {k} states must hold exactly {k} data rows, "
-            f"got {len(rows) - 1}"
+            f"got {len(rows)}"
         )
     counts = np.zeros((k, k), dtype=int)
     occupancy = np.zeros(k, dtype=int)
-    for offset, row in enumerate(rows[1:], start=2):
+    for expected, (line, row) in enumerate(rows, start=1):
         if len(row) != k + 2:
-            raise CsvParseError(
-                f"row {offset} has {len(row)} fields, expected {k + 2}"
-            )
+            raise CsvParseError(f"row {line} has {len(row)} fields, expected {k + 2}")
         try:
             state = int(row[0])
             cells = [int(cell) for cell in row[1:]]
         except ValueError as exc:
-            raise CsvParseError(f"non-integer count at row {offset}") from exc
-        if state != offset - 1:
-            raise CsvParseError(
-                f"row {offset} describes state {state}, expected {offset - 1}"
-            )
+            raise CsvParseError(f"non-integer count at row {line}") from exc
+        if state != expected:
+            raise CsvParseError(f"row {line} describes state {state}, expected {expected}")
         if any(cell < 0 for cell in cells):
-            raise CsvParseError(f"negative count at row {offset}")
+            raise CsvParseError(f"negative count at row {line}")
         counts[state - 1] = cells[:-1]
         occupancy[state - 1] = cells[-1]
     return counts, occupancy
