@@ -136,7 +136,7 @@ def _build_train(raw: dict, default_seed: int) -> TrainConfig:
     try:
         return TrainConfig(
             learning_rate=_number("train.learning_rate", merged["learning_rate"]),
-            epochs=_integer("train.epochs", merged["epochs"], 0),
+            epochs=_integer("train.epochs", merged["epochs"], 0, MAX_COUNT),
             seed=_integer("train.seed", merged["seed"], 0),
             shuffle=merged["shuffle"],
         )
@@ -155,6 +155,8 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
             raise ConfigError(f"config file not found: {path}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config file {path}: not UTF-8 text ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

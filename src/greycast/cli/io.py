@@ -19,7 +19,7 @@ SERIES_HEADERS = (("value",), ("date", "value"))
 
 @contextmanager
 def _open_input(path, newline=None):
-    """Open ``path`` for reading; a missing or unreadable file is exit 3."""
+    """Open ``path`` for reading; a missing, unreadable or non-UTF-8 file is exit 3."""
     try:
         # utf-8-sig drops the byte-order mark that some editors (Excel's
         # "CSV UTF-8", say) write first; a file without one reads as utf-8.
@@ -29,19 +29,24 @@ def _open_input(path, newline=None):
         raise MissingInputError(f"input file not found: {path}") from exc
     except OSError as exc:
         raise MissingInputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MissingInputError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _rows(source):
     """``(file line, cells)`` for each non-blank row of the CSV at a path or
-    in a text stream."""
+    in a text stream; a row that ``csv`` refuses is a parse error."""
     if isinstance(source, (str, os.PathLike)):
         with _open_input(source, newline="") as handle:
             yield from _rows(handle)
         return
     reader = csv.reader(source)
-    for row in reader:
-        if "".join(row).strip():
-            yield reader.line_num, row
+    try:
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise CsvParseError(f"row {reader.line_num}: {exc}") from exc
 
 
 def _normalize(row: list[str]) -> tuple[str, ...]:

@@ -18,6 +18,7 @@ import greycast.errors
 from greycast import (
     CsvParseError,
     DataError,
+    MissingInputError,
     StatePartition,
     TrainConfig,
     expected_drift,
@@ -31,7 +32,7 @@ from greycast import (
 from greycast.cli.backtest import run_backtest
 from greycast.cli.config import MODELS, READS, PipelineConfig, load_config
 from greycast.cli.docspec import MAX_COUNT
-from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv
+from greycast.cli.io import dump_json, parse_counts_csv, parse_series_csv, sniff_csv_kind
 from greycast.cli.main import _CONFIG_FLAGS, _config_from_args, build_parser, main
 from greycast.cli.synth import synthetic_series
 from conftest import PUBLISHED_COUNTS, PUBLISHED_OCCUPANCY
@@ -95,6 +96,138 @@ def test_parse_counts_fixture(tmp_path):
     assert np.array_equal(occupancy, PUBLISHED_OCCUPANCY)
 
 
+_COUNTS_HEADER = b"state,to1,to2,occupancy\n"
+
+# The CSV readers on a table of inputs: name -> (reader, file bytes, the
+# values read or the exact (error type, message)).  A row number in a
+# message is the 1-based file line, blank lines counted; "{path}" stands
+# for the file's path.
+_READER_TABLE = {
+    "plain": (parse_series_csv, b"value\n1\n2\n3\n", [1.0, 2.0, 3.0]),
+    "dated": (parse_series_csv, b"date,value\n1994-09-01,99.1\n1994-09-02,99.4\n", [99.1, 99.4]),
+    "crlf": (parse_series_csv, b"value\r\n1\r\n2\r\n", [1.0, 2.0]),
+    "bom": (parse_series_csv, b"\xef\xbb\xbfvalue\n1\n2\n", [1.0, 2.0]),
+    "blank_rows": (parse_series_csv, b"value\n\n1\n \n2\n\n", [1.0, 2.0]),
+    "comma_only_rows": (parse_series_csv, b"date,value\n,\n2020,1\n , \n2021,2\n", [1.0, 2.0]),
+    "padded_header": (parse_series_csv, b" Date , VALUE \n2020, 1\n2021 ,2 \n", [1.0, 2.0]),
+    "repeated_header": (
+        parse_series_csv, b"value\n1\n Value \n2\n", (CsvParseError, "duplicate header at row 3"),
+    ),
+    "bad_value": (
+        parse_series_csv, b"value\n1\nabc\n", (CsvParseError, "could not parse value 'abc' at row 3"),
+    ),
+    "extra_field": (
+        parse_series_csv, b"value\n1\n2,3\n", (CsvParseError, "row 3 has 2 fields, expected 1"),
+    ),
+    "quoted_date_holding_a_comma": (
+        parse_series_csv, b'date,value\n"Sep 1, 1994",99.1\n"Sep 2, 1994",99.4\n', [99.1, 99.4],
+    ),
+    "empty": (parse_series_csv, b"", (CsvParseError, "empty file")),
+    "blank_only": (parse_series_csv, b"\n \n,\n", (CsvParseError, "empty file")),
+    "header_only": (parse_series_csv, b"value\n", (CsvParseError, "no data rows found")),
+    "unrecognized_header": (
+        parse_series_csv, b"price\n1\n2\n",
+        (CsvParseError, "unrecognized header ['price']; expected 'value' or 'date,value'"),
+    ),
+    "nan": (parse_series_csv, b"value\n1\nnan\n", (DataError, "series values must all be finite")),
+    "inf": (parse_series_csv, b"value\n1\ninf\n", (DataError, "series values must all be finite")),
+    "underscore": (parse_series_csv, b"value\n1_000\n2\n", [1000.0, 2.0]),
+    "lone_cr": (parse_series_csv, b"value\r1\r2\r", [1.0, 2.0]),
+    "tabs": (parse_series_csv, b"value\n\t1\t\n2\n", [1.0, 2.0]),
+    "negative": (parse_series_csv, b"value\n-1.5\n2\n", [-1.5, 2.0]),
+    # str.strip() drops the information separators \x1c-\x1f; float() does not
+    "separator_char": (parse_series_csv, b"value\n\x1c1.5\n", [1.5]),
+    "blank_then_bad_value": (
+        parse_series_csv, b"value\n1\n\n2\nabc\n",
+        (CsvParseError, "could not parse value 'abc' at row 5"),
+    ),
+    "blank_then_extra_field": (
+        parse_series_csv, b"value\n\n1\n2,3\n", (CsvParseError, "row 4 has 2 fields, expected 1"),
+    ),
+    "blank_then_repeated_header": (
+        parse_series_csv, b"\nvalue\n1\n\nvalue\n", (CsvParseError, "duplicate header at row 5"),
+    ),
+    # a quoted field spanning lines is named by its last line
+    "multiline_field_bad_value": (
+        parse_series_csv, b'date,value\n"a\nb",x\n', (CsvParseError, "could not parse value 'x' at row 3"),
+    ),
+    "multiline_field_then_bad_value": (
+        parse_series_csv, b'date,value\n"a\nb",1\n2020,x\n',
+        (CsvParseError, "could not parse value 'x' at row 4"),
+    ),
+    "not_utf8": (
+        parse_series_csv, b"value\n1\n2\n3\n\xe9\n",
+        (MissingInputError, "cannot read {path}: not UTF-8 text (invalid continuation byte)"),
+    ),
+    "utf16": (
+        parse_series_csv, "value\n1\n2\n".encode("utf-16"),
+        (MissingInputError, "cannot read {path}: not UTF-8 text (invalid start byte)"),
+    ),
+    # a stray quote runs to the end of the file: the field passes csv's
+    # 131 072-character limit on line 65 538
+    "oversized_field": (
+        parse_series_csv, b'value\n"1\n' + b"2\n" * 70_000,
+        (CsvParseError, "row 65538: field larger than field limit (131072)"),
+    ),
+    "counts": (parse_counts_csv, _COUNTS_HEADER + b"1,3,1,4\n2,1,2,3\n", [[[3, 1], [1, 2]], [4, 3]]),
+    "counts_row_count": (
+        parse_counts_csv, _COUNTS_HEADER + b"1,3,1,4\n",
+        (CsvParseError, "counts fixture with 2 states must hold exactly 2 data rows, got 1"),
+    ),
+    "counts_blank_then_state": (
+        parse_counts_csv, _COUNTS_HEADER + b"\n2,3,1,4\n1,1,2,3\n",
+        (CsvParseError, "row 3 describes state 2, expected 1"),
+    ),
+    "counts_blank_then_field_count": (
+        parse_counts_csv, _COUNTS_HEADER + b"\n1,3,1\n2,1,2,3\n",
+        (CsvParseError, "row 3 has 3 fields, expected 4"),
+    ),
+    "counts_blank_then_non_integer": (
+        parse_counts_csv, _COUNTS_HEADER + b"1,3,1,4\n\n2,x,2,3\n",
+        (CsvParseError, "non-integer count at row 4"),
+    ),
+    "counts_blank_then_negative": (
+        parse_counts_csv, b"\n" + _COUNTS_HEADER + b"1,3,1,4\n\n2,-1,2,3\n",
+        (CsvParseError, "negative count at row 5"),
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["path", "stream"])
+@pytest.mark.parametrize("parse, data, expected", _READER_TABLE.values(), ids=list(_READER_TABLE))
+def test_csv_reader_table(tmp_path, form, parse, data, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    if form == "path":
+        source = path
+    else:
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+        if expected[0] is MissingInputError:
+            # a stream's bytes are decoded by whoever opened it
+            expected = (UnicodeDecodeError, None)
+    if isinstance(expected, list):
+        result = parse(source)
+        read = result.values.tolist() if parse is parse_series_csv else [a.tolist() for a in result]
+        assert read == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        parse(source)
+    assert type(info.value) is error
+    if message is not None:
+        assert str(info.value) == message.format(path=path)
+
+
+def test_sniff_csv_kind_reads_no_further_than_the_header():
+    def lines(header):
+        yield "\n"
+        yield header
+        raise AssertionError("read past the header")
+
+    assert sniff_csv_kind(lines("state,to1,to2,occupancy\n")) == "counts"
+    assert sniff_csv_kind(lines("value\n")) == "series"
+
+
 # The UTF-8 byte-order mark that Excel's "CSV UTF-8" and some editors write
 # at the start of a file.
 _BOM = b"\xef\xbb\xbf"
@@ -130,6 +263,37 @@ def test_bom_config_counts_and_model_doc_load(tmp_path):
     _with_bom(model)
     assert main(["forecast", "--input", str(model), "--horizon", "3", "--out", str(bom_fc)]) == 0
     assert bom_fc.read_bytes() == plain_fc.read_bytes()
+
+
+@pytest.mark.parametrize("what", ["series", "counts", "model_doc", "report", "config"])
+@pytest.mark.parametrize("bad, reason", [
+    (b"\xe9\n", "invalid continuation byte"),  # a Latin-1 byte appended
+    (b"\xff\xfe", "invalid start byte"),  # a UTF-16 byte-order mark in front
+])
+def test_input_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, what, bad, reason):
+    # Each used to escape main as a UnicodeDecodeError traceback (exit 1).
+    data, model, report = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "r.json"
+    write_series(data, synthetic_series(30, seed=9))
+    assert main(["fit", "--model", "gm", "--input", str(data), "--out", str(model)]) == 0
+    assert main(["markov-test", "--input", str(data), "--out", str(report)]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"alpha": 0.05}))
+    counts = tmp_path / "counts.csv"
+    write_counts_fixture(counts)
+    out = ["--out", str(tmp_path / "out")]
+    target, argv = {
+        "series": (data, ["fit", "--model", "gm", "--input", str(data), *out]),
+        "counts": (counts, ["markov-test", "--input", str(counts), *out]),
+        "model_doc": (model, ["forecast", "--input", str(model), *out]),
+        "report": (report, ["report", "--input", str(report)]),
+        "config": (config, ["fit", "--model", "gm", "--input", str(data), "--config", str(config), *out]),
+    }[what]
+    text = target.read_bytes()
+    target.write_bytes(bad + text if bad.startswith(b"\xff") else text + bad)
+    capsys.readouterr()
+    assert main(argv) == (2 if what == "config" else 3)
+    name = f"config file {target}" if what == "config" else str(target)
+    assert capsys.readouterr().err == f"error: cannot read {name}: not UTF-8 text ({reason})\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1162,6 +1326,22 @@ def test_size_flag_above_the_cap_exits_2(tmp_path, capsys, command, big):
     what = ("synthetic series length --n must be from 2 to" if command == "synth"
             else "horizon must be an integer of at most")
     assert capsys.readouterr().err == f"error: {what} {MAX_COUNT}, got {big}\n"
+
+
+@pytest.mark.parametrize("big", [MAX_COUNT + 1, 10**30])
+def test_train_epochs_above_the_cap_exits_2(tmp_path, capsys, big):
+    # 10**30 epochs used to start a run that never ended.
+    data, config = tmp_path / "s.csv", tmp_path / "cfg.json"
+    write_series(data, synthetic_series(30, seed=9))
+    config.write_text(json.dumps({"train": {"epochs": big}}))
+    capsys.readouterr()
+    argv = ["fit", "--model", "ignn", "--input", str(data), "--config", str(config)]
+    assert main([*argv, "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: train.epochs must be an integer of at most {MAX_COUNT}, got {big}\n"
+    )
+    config.write_text(json.dumps({"train": {"epochs": MAX_COUNT}}))
+    assert load_config(str(config), {}).train.epochs == MAX_COUNT
 
 
 @pytest.mark.parametrize("kind, path", [
