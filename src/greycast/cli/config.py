@@ -156,7 +156,9 @@ def load_config(path: str | None, overrides: dict) -> PipelineConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
         except UnicodeDecodeError as exc:
-            raise ConfigError(f"cannot read config file {path}: not UTF-8 text ({exc.reason})") from exc
+            raise ConfigError(
+                f"cannot read config file {path}: not UTF-8 text ({exc.reason})"
+            ) from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):

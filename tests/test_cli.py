@@ -266,11 +266,11 @@ def test_bom_config_counts_and_model_doc_load(tmp_path):
 
 
 @pytest.mark.parametrize("what", ["series", "counts", "model_doc", "report", "config"])
-@pytest.mark.parametrize("bad, reason", [
-    (b"\xe9\n", "invalid continuation byte"),  # a Latin-1 byte appended
-    (b"\xff\xfe", "invalid start byte"),  # a UTF-16 byte-order mark in front
+@pytest.mark.parametrize("prefix, suffix, reason", [
+    (b"", b"\xe9\n", "invalid continuation byte"),  # a Latin-1 byte appended
+    (b"\xff\xfe", b"", "invalid start byte"),  # a UTF-16 byte-order mark in front
 ])
-def test_input_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, what, bad, reason):
+def test_input_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, what, prefix, suffix, reason):
     # Each used to escape main as a UnicodeDecodeError traceback (exit 1).
     data, model, report = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "r.json"
     write_series(data, synthetic_series(30, seed=9))
@@ -288,8 +288,7 @@ def test_input_that_is_not_utf8_exits_with_one_line(tmp_path, capsys, what, bad,
         "report": (report, ["report", "--input", str(report)]),
         "config": (config, ["fit", "--model", "gm", "--input", str(data), "--config", str(config), *out]),
     }[what]
-    text = target.read_bytes()
-    target.write_bytes(bad + text if bad.startswith(b"\xff") else text + bad)
+    target.write_bytes(prefix + target.read_bytes() + suffix)
     capsys.readouterr()
     assert main(argv) == (2 if what == "config" else 3)
     name = f"config file {target}" if what == "config" else str(target)
